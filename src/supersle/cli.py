@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -72,8 +73,8 @@ def _resolve_seed(args) -> int:
 
 
 def _steps_for(T: float, dt: float) -> int:
-    if dt <= 0 or T < 0:
-        raise UsageError("need dt > 0 and T >= 0")
+    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < 0:
+        raise UsageError("need finite dt > 0 and T >= 0")
     steps = round(T / dt)
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise UsageError(f"dt={dt} does not divide T={T}")
@@ -180,6 +181,8 @@ def cmd_sde(args) -> int:
     kappa = _parse_kappa(args.kappa)
     seed = _resolve_seed(args)
     steps = _steps_for(args.T, args.dt)
+    if not math.isfinite(args.z0):
+        raise UsageError("--z0 must be finite")
     spec = _load_spec(args.spec, kappa, FLOAT)
     init = _initial_point(spec, complex(args.z0))
     config = _config_dict(args, {"seed": seed, "steps": steps,
@@ -258,10 +261,16 @@ def cmd_martingale(args) -> int:
 
 
 def _parse_bounds(text):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise UsageError("--bounds needs xmin,xmax,ymin,ymax")
-    return tuple(parts)
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"cannot parse --bounds {text!r}") from None
+    if len(parts) != 4 or not all(math.isfinite(x) for x in parts):
+        raise UsageError("--bounds needs finite xmin,xmax,ymin,ymax")
+    xmin, xmax, ymin, ymax = parts
+    if not (xmin < xmax and ymin < ymax):
+        raise UsageError("--bounds needs xmin < xmax and ymin < ymax")
+    return parts
 
 
 def cmd_trace(args) -> int:
@@ -366,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level cutoff as a rational, default 7/2")
     p.add_argument("--delta-shift", dest="delta_shift", default=None,
                    help="detune the highest weight by this rational")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are independent of it")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--expect-martingale", action="store_true",
                        help="exit 0 iff every drift is within 3 SE of 0")

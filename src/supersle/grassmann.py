@@ -334,26 +334,6 @@ def make_generator(index: int, n: int | None = None,
     return GrassmannNumber(n, ring, {1 << index: 1})
 
 
-def mul(a: GrassmannNumber, b: GrassmannNumber) -> GrassmannNumber:
-    return a * b
-
-
-def inverse(a: GrassmannNumber) -> GrassmannNumber:
-    return a.inverse()
-
-
-def derive(a: GrassmannNumber, index: int) -> GrassmannNumber:
-    return a.derive(index)
-
-
-def parity(a: GrassmannNumber) -> str:
-    return a.parity()
-
-
-def body_soul_split(a: GrassmannNumber):
-    return a.body_soul_split()
-
-
 # -- textual serialization ----------------------------------------------------
 #
 # "3/2 + (0,1)*p0p1": coefficients are rationals, Gaussian rationals "(a,b)",

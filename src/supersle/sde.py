@@ -2,9 +2,12 @@
 
 Float-coefficient Grassmann states are held as dense complex vectors over
 the 2^n monomial masks, so Euler--Maruyama stepping, closed-form evaluation
-and Monte-Carlo averaging are plain numpy array operations.  The module also
-provides the classical Loewner flow and rasterized hulls of the scaled
-complex Brownian trace.
+and Monte-Carlo averaging are plain numpy array operations.  Products of
+such vectors go through one sparse Koszul pair table per n, the float
+counterpart of ``GrassmannNumber.__mul__``; the Monte-Carlo operator
+evolution normal-orders its words with ``ns_algebra.VermaModule``.  The
+module also provides the classical Loewner flow and rasterized hulls of the
+scaled complex Brownian trace.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.ndimage
@@ -30,16 +34,14 @@ from supersle.grassmann import (
 from supersle.ns_algebra import (
     CutoffOverflow,
     AlgebraElement,
-    Mode,
     ModuleParams,
-    VermaVector,
-    _bracket_terms,
+    VermaModule,
     pbw_words,
     quotient_projection,
     word_level,
     word_parity,
 )
-from supersle.superfield import LaurentSuperfunction, SuperPoint, is_superconformal
+from supersle.superfield import LaurentSuperfunction, SuperPoint
 from supersle.walk import (
     SdeSystem,
     WalkSpec,
@@ -111,43 +113,67 @@ class BrownianPath:
 
 @dataclass(frozen=True)
 class SuperPath:
-    """Time series of an even/odd coordinate pair along a driving path."""
+    """Time series of an even/odd coordinate pair along a driving path.
+
+    ``Z`` and ``TH`` hold the coordinates as complex arrays of shape
+    (len(times), 2^n) over the monomial masks.  ``z`` and ``theta`` give the
+    same states as tuples of float ``GrassmannNumber``s, built on first use.
+    """
 
     times: np.ndarray
-    z: tuple          # GrassmannNumber per time
-    theta: tuple
+    Z: np.ndarray
+    TH: np.ndarray
     driving: BrownianPath
     swallowed_time: float | None = None
+
+    @property
+    def n(self) -> int:
+        return self.Z.shape[-1].bit_length() - 1
+
+    @cached_property
+    def z(self) -> tuple:
+        return tuple(_gnum(row, self.n) for row in self.Z)
+
+    @cached_property
+    def theta(self) -> tuple:
+        return tuple(_gnum(row, self.n) for row in self.TH)
 
 
 # -- batched float Grassmann arithmetic ------------------------------------------
 
-_TENSOR_CACHE: dict = {}
+
+@cache
+def _pair_table(n: int):
+    """Koszul pair table of the Grassmann algebra on n generators.
+
+    Lists the 3^n triples (i, j, sign) with psi_i psi_j = sign psi_k, i a
+    submask of k and j = k ^ i, grouped by k; ``starts[k]`` is the offset of
+    the group of k.
+    """
+    left, right, signs, starts = [], [], [], []
+    for k in range(1 << n):
+        starts.append(len(left))
+        subs = [k]
+        i = k
+        while i:
+            i = (i - 1) & k
+            subs.append(i)
+        for i in reversed(subs):
+            left.append(i)
+            right.append(k ^ i)
+            signs.append(_merge_sign(i, k ^ i))
+    return (np.array(left), np.array(right), np.array(signs, dtype=float),
+            np.array(starts))
 
 
-def _mul_tensor(n: int) -> np.ndarray:
-    """T[i, j, k] = Koszul sign of psi_i * psi_j when i|j == k, i & j == 0."""
-    if n not in _TENSOR_CACHE:
-        if n > 6:
-            raise ValueError("dense multiplication tensor limited to n <= 6")
-        m = 1 << n
-        T = np.zeros((m, m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                if i & j == 0:
-                    T[i, j, i | j] = _merge_sign(i, j)
-        _TENSOR_CACHE[n] = T
-    return _TENSOR_CACHE[n]
+def _bmul(n: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Batched Grassmann product of (..., 2^n) coefficient arrays."""
+    left, right, signs, starts = _pair_table(n)
+    terms = A[..., left] * B[..., right] * signs
+    return np.add.reduceat(terms, starts, axis=-1)
 
 
-def _bmul(T: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A, B = np.broadcast_arrays(A, B)
-    m = T.shape[0]
-    outer = (A[..., :, None] * B[..., None, :]).reshape(*A.shape[:-1], m * m)
-    return outer @ T.reshape(m * m, m)
-
-
-def _binv(T: np.ndarray, n: int, A: np.ndarray) -> np.ndarray:
+def _binv(n: int, A: np.ndarray) -> np.ndarray:
     """Batched inverse via the Neumann series over the nilpotent soul."""
     body = A[..., 0]
     if np.any(np.abs(body) == 0.0):
@@ -161,7 +187,7 @@ def _binv(T: np.ndarray, n: int, A: np.ndarray) -> np.ndarray:
     sign = 1.0
     for _ in range(n + 1):
         out += sign * power / bpow[..., None]
-        power = _bmul(T, power, soul)
+        power = _bmul(n, power, soul)
         if not power.any():
             break
         sign = -sign
@@ -177,12 +203,12 @@ def _gvec(g: GrassmannNumber, n: int) -> np.ndarray:
 
 
 def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
-    terms = {m: complex(c) for m, c in enumerate(vec) if c != 0}
+    terms = {m: c for m, c in enumerate(vec.tolist()) if c != 0}
     return GrassmannNumber(n, FLOAT, terms)
 
 
 def _eval_batch(F: LaurentSuperfunction, Z: np.ndarray, TH: np.ndarray,
-                T: np.ndarray, n: int) -> np.ndarray:
+                n: int) -> np.ndarray:
     """Evaluate a Laurent superfunction at batched points (..., 2^n)."""
     exps = sorted(set(F.a) | set(F.b))
     if not exps:
@@ -193,19 +219,19 @@ def _eval_batch(F: LaurentSuperfunction, Z: np.ndarray, TH: np.ndarray,
     pows[0] = np.broadcast_to(one, Z.shape).copy()
     hi, lo = max(exps + [0]), min(exps + [0])
     for k in range(1, hi + 1):
-        pows[k] = _bmul(T, pows[k - 1], Z)
+        pows[k] = _bmul(n, pows[k - 1], Z)
     if lo < 0:
-        zinv = _binv(T, n, Z)
+        zinv = _binv(n, Z)
         for k in range(-1, lo - 1, -1):
-            pows[k] = _bmul(T, pows[k + 1], zinv)
+            pows[k] = _bmul(n, pows[k + 1], zinv)
     out = np.zeros_like(Z)
     for k, c in F.a.items():
-        out = out + _bmul(T, _gvec(c, n)[None, :], pows[k])
+        out = out + _bmul(n, _gvec(c, n)[None, :], pows[k])
     bsum = np.zeros_like(Z)
     for k, c in F.b.items():
-        bsum = bsum + _bmul(T, _gvec(c, n)[None, :], pows[k])
+        bsum = bsum + _bmul(n, _gvec(c, n)[None, :], pows[k])
     if bsum.any():
-        out = out + _bmul(T, TH, bsum)
+        out = out + _bmul(n, TH, bsum)
     return out
 
 
@@ -225,7 +251,6 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     step index per path (steps+1 when never swallowed).  Swallowed paths are
     frozen at their last valid state.
     """
-    T = _mul_tensor(n)
     paths, steps, dim = increments.shape
     guard = _has_negative_exponents(system)
     Z = np.zeros((paths, steps + 1, 1 << n), dtype=complex)
@@ -245,12 +270,12 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
             Z[:, k + 1:] = z[:, None, :]
             TH[:, k + 1:] = th[:, None, :]
             return Z, TH, swallowed
-        znew = z + dt * _eval_batch(zd, z, th, T, n)
-        tnew = th + dt * _eval_batch(td, z, th, T, n)
+        znew = z + dt * _eval_batch(zd, z, th, n)
+        tnew = th + dt * _eval_batch(td, z, th, n)
         for i, (zi, ti) in enumerate(system.diffusion):
             dB = increments[:, k, i][:, None]
-            znew = znew + dB * _eval_batch(zi, z, th, T, n)
-            tnew = tnew + dB * _eval_batch(ti, z, th, T, n)
+            znew = znew + dB * _eval_batch(zi, z, th, n)
+            tnew = tnew + dB * _eval_batch(ti, z, th, n)
         z = np.where(active[:, None], znew, z)
         th = np.where(active[:, None], tnew, th)
         Z[:, k + 1] = z
@@ -260,13 +285,6 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
 
 def _point_vectors(init: SuperPoint, n: int):
     return _gvec(init.z, n), _gvec(init.theta, n)
-
-
-def _as_superpath(Z: np.ndarray, TH: np.ndarray, path: BrownianPath,
-                  n: int) -> SuperPath:
-    zs = tuple(_gnum(Z[k], n) for k in range(Z.shape[0]))
-    ths = tuple(_gnum(TH[k], n) for k in range(TH.shape[0]))
-    return SuperPath(times=path.times, z=zs, theta=ths, driving=path)
 
 
 def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
@@ -290,10 +308,10 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
         if on_swallow == "raise":
             raise SwallowedPoint(t_hit)
         k = int(swallowed[0])
-        out = _as_superpath(Z[0, :k + 1], TH[0, :k + 1], path, n)
-        return SuperPath(times=path.times[:k + 1], z=out.z, theta=out.theta,
-                         driving=path, swallowed_time=float(t_hit))
-    return _as_superpath(Z[0], TH[0], path, n)
+        return SuperPath(times=path.times[:k + 1], Z=Z[0, :k + 1],
+                         TH=TH[0, :k + 1], driving=path,
+                         swallowed_time=float(t_hit))
+    return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
 
 
 # -- closed-form solutions --------------------------------------------------------
@@ -306,16 +324,15 @@ def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float,
     B has shape (paths, steps+1); returns (Z, TH) of shape
     (paths, steps+1, 2^n).
     """
-    T = _mul_tensor(n)
     sk = math.sqrt(kappa)
     spec = spec_32(kappa, FLOAT)
     y = _gvec(spec.beta[0][-1][0], n) / sk
     eta = _gvec(spec.beta[0][-1][1], n) / sk
-    zinv = _binv(T, n, z0[None, :])[0]
-    yeta = _bmul(T, y, eta)
-    th_yeta_zinv = _bmul(T, th0, _bmul(T, yeta, zinv))
-    yeta_zinv = _bmul(T, yeta, zinv)
-    cz = sk * (y + _bmul(T, th0, eta))
+    zinv = _binv(n, z0[None, :])[0]
+    yeta = _bmul(n, y, eta)
+    th_yeta_zinv = _bmul(n, th0, _bmul(n, yeta, zinv))
+    yeta_zinv = _bmul(n, yeta, zinv)
+    cz = sk * (y + _bmul(n, th0, eta))
     ct = sk * eta
     Z = (z0[None, None, :] + times[None, :, None] * th_yeta_zinv[None, None, :]
          - B[:, :, None] * cz[None, None, :])
@@ -332,7 +349,7 @@ def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
         raise NotInvertible("initial z must have non-zero body")
     B = path.values[0][None, :]
     Z, TH = _cf32_core(z0, th0, float(kappa), path.times, B, n)
-    return _as_superpath(Z[0], TH[0], path, n)
+    return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
 
 
 def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
@@ -342,7 +359,6 @@ def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
     B1, B2 have shape (paths, steps+1).  The time integral of
     1/(z - sqrt(kappa) B^+) is a left-endpoint Riemann sum on the same grid.
     """
-    T = _mul_tensor(n)
     sk = math.sqrt(kappa)
     eta = np.zeros(1 << n, dtype=complex)
     eta[1] = 1.0
@@ -353,17 +369,17 @@ def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
     if np.min(np.abs(den[..., 0])) < eps:
         raise DenominatorVanishes(
             "complex part of z - sqrt(kappa) B+ fell below epsilon")
-    integrand = _binv(T, n, den)
+    integrand = _binv(n, den)
     I = np.zeros_like(integrand)
     np.cumsum(dt * integrand[:, :-1], axis=1, out=I[:, 1:])
     shift = I.copy()
     shift[..., 0] -= sk * B1
-    th_eta = _bmul(T, th0, eta)
+    th_eta = _bmul(n, th0, eta)
     Z = np.broadcast_to(z0[None, None, :], shift.shape).copy()
     Z[..., 0] -= sk * bplus
-    Z = Z + _bmul(T, th_eta[None, None, :], shift)
+    Z = Z + _bmul(n, th_eta[None, None, :], shift)
     TH = np.broadcast_to(th0[None, None, :], shift.shape).copy()
-    TH = TH + _bmul(T, eta[None, None, :], shift)
+    TH = TH + _bmul(n, eta[None, None, :], shift)
     return Z, TH
 
 
@@ -377,7 +393,7 @@ def closed_form_32alt(init: SuperPoint, path: BrownianPath, kappa,
     values = path.values
     Z, TH = _cf32alt_core(z0, th0, float(kappa), path.dt,
                           values[0][None, :], values[1][None, :], eps, n)
-    return _as_superpath(Z[0], TH[0], path, n)
+    return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
 
 
 # -- closed forms as superconformal maps ------------------------------------------
@@ -439,22 +455,20 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
     worst drift of the body of w_t from the body of z.
     """
     n = 4
-    T = _mul_tensor(n)
     sol = closed_form_32(init, path, kappa)
     sk = math.sqrt(float(kappa))
     spec = spec_32(kappa, FLOAT)
     y = _gvec(spec.beta[0][-1][0], n) / sk
     eta = _gvec(spec.beta[0][-1][1], n) / sk
-    yeta = _bmul(T, y, eta)
+    yeta = _bmul(n, y, eta)
     z0, th0 = _point_vectors(init, n)
     B = path.values[0]
-    Z = np.stack([_gvec(g, n) for g in sol.z])
-    TH = np.stack([_gvec(g, n) for g in sol.theta])
-    w = Z + (y[None, :] + _bmul(T, TH, eta[None, :])) * (sk * B[:, None])
-    mu = TH + sk * B[:, None] * eta[None, :]
-    conserved = _bmul(T, th0[None, :], z0[None, :]) \
+    w = sol.Z + (y[None, :] + _bmul(n, sol.TH, eta[None, :])) \
+        * (sk * B[:, None])
+    mu = sol.TH + sk * B[:, None] * eta[None, :]
+    conserved = _bmul(n, th0[None, :], z0[None, :]) \
         + sol.times[:, None] * yeta[None, :]
-    residual = _bmul(T, mu, w) - conserved
+    residual = _bmul(n, mu, w) - conserved
     return {
         "max_conservation_error": float(np.max(np.abs(residual))),
         "max_body_drift": float(np.max(np.abs(w[:, 0] - z0[0]))),
@@ -467,14 +481,6 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
 _ERROR_FLOOR = 1e-12
 
 
-def _cf32_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
-                   T: float, B_T: float, n: int = 4):
-    """Terminal state of the one-Brownian closed form (single path)."""
-    Z, TH = _cf32_core(z0, th0, kappa, np.array([T]),
-                       np.array([[B_T]]), n)
-    return Z[0, 0], TH[0, 0]
-
-
 def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
                       dt: float, B1: np.ndarray, B2: np.ndarray,
                       eps: float, n: int = 2):
@@ -483,7 +489,6 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
     Only the left-endpoint Riemann sum of the integrand is accumulated, so
     very fine reference grids stay cheap in memory.
     """
-    T = _mul_tensor(n)
     sk = math.sqrt(kappa)
     bplus = B1 + 1j * B2
     body = z0[0] - sk * bplus
@@ -498,7 +503,7 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
     sign = 1.0
     for k in range(n + 1):
         I = I + power * (sign * dt * np.sum(body[:-1] ** (-(k + 1))))
-        power = _bmul(T, power, soul)
+        power = _bmul(n, power, soul)
         if not power.any():
             break
         sign = -sign
@@ -508,8 +513,8 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
     shift[0] -= sk * B1[-1]
     zT = z0.copy()
     zT[0] -= sk * bplus[-1]
-    zT = zT + _bmul(T, _bmul(T, th0, eta), shift)
-    thT = th0 + _bmul(T, eta, shift)
+    zT = zT + _bmul(n, _bmul(n, th0, eta), shift)
+    thT = th0 + _bmul(n, eta, shift)
     return zT, thT
 
 
@@ -579,8 +584,9 @@ def convergence_32(kappa, init: SuperPoint, T: float, dt_list, n_paths: int,
     system = sde_system(spec_32(kappa, FLOAT))
 
     def cf(z0, th0, bp):
-        return _cf32_terminal(z0, th0, float(kappa), bp.dt * bp.steps,
-                              float(bp.values[0, -1]), 4)
+        Z, TH = _cf32_core(z0, th0, float(kappa), np.array([bp.dt * bp.steps]),
+                           np.array([[bp.values[0, -1]]]), 4)
+        return Z[0, 0], TH[0, 0]
 
     return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed,
                                 n=4, refine=refine)
@@ -601,52 +607,6 @@ def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
 
 
 # -- Monte-Carlo martingale check ---------------------------------------------------
-
-
-def _normal_order_word(word) -> dict:
-    """PBW reduction of a product of lowering modes; word -> Fraction."""
-    out: dict = {}
-    stack = [(tuple(word), Fraction(1))]
-    while stack:
-        w, coeff = stack.pop()
-        i = _first_violation(w)
-        if i is None:
-            out[w] = out.get(w, Fraction(0)) + coeff
-            continue
-        a, b = w[i], w[i + 1]
-        rest = (w[:i], w[i + 2:])
-        terms = _bracket_terms(a, b, 0)
-        if a.odd and b.odd and a.index == b.index:
-            # a*a = (1/2){a, a}
-            for s, mode in terms:
-                if mode is not None:
-                    stack.append((rest[0] + (mode,) + rest[1],
-                                  coeff * _as_fraction(s) / 2))
-            continue
-        sigma = -1 if (a.odd and b.odd) else 1
-        stack.append((rest[0] + (b, a) + rest[1], coeff * sigma))
-        for s, mode in terms:
-            if mode is not None:
-                stack.append((rest[0] + (mode,) + rest[1],
-                              coeff * _as_fraction(s)))
-    return {w: c for w, c in out.items() if c}
-
-
-def _first_violation(w):
-    for i in range(len(w) - 1):
-        a, b = w[i], w[i + 1]
-        if a.kind == "G" and b.kind == "L":
-            return i
-        if a.kind == b.kind == "L" and a.index > b.index:
-            return i
-        if a.kind == b.kind == "G" and a.index >= b.index:
-            return i
-    return None
-
-
-def _as_fraction(s) -> Fraction:
-    s = sp.nsimplify(sp.sympify(s), rational=True)
-    return Fraction(int(s.p), int(s.q))
 
 
 def _element_data(elem: AlgebraElement):
@@ -674,8 +634,15 @@ def _reachable_masks(elements):
     return sorted(masks)
 
 
-def _right_multiplication_matrix(element, words, masks, cutoff: Fraction):
-    """Matrix of O -> O*E on the (word x mask) coefficient basis."""
+def _right_multiplication_matrix(element, words, masks,
+                                 module: VermaModule):
+    """Matrix of O -> O*E on the (word x mask) coefficient basis.
+
+    Products of lowering words are normal-ordered by acting on the highest
+    weight vector of ``module``; no central term or weight enters, so the
+    module's (c, Delta) do not matter.
+    """
+    cutoff = module.params.level_cutoff
     widx = {w: i for i, w in enumerate(words)}
     midx = {m: i for i, m in enumerate(masks)}
     nm = len(masks)
@@ -686,8 +653,7 @@ def _right_multiplication_matrix(element, words, masks, cutoff: Fraction):
         for w in words:
             if word_level(w) + word_level(u) > cutoff:
                 continue
-            struct[w] = {w2: c for w2, c in _normal_order_word(w + u).items()
-                         if word_level(w2) <= cutoff}
+            struct[w] = module.act_word(w + u, ())
         for mu, cval in mtable.items():
             p_mu = bin(mu).count("1") & 1
             for w, targets in struct.items():
@@ -730,8 +696,10 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
     words = pbw_words(cutoff)
     masks = _reachable_masks([alpha, *betas])
     nm = len(masks)
-    Ra = _right_multiplication_matrix(alpha, words, masks, cutoff)
-    Rb = [_right_multiplication_matrix(b, words, masks, cutoff) for b in betas]
+    module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
+    Ra = _right_multiplication_matrix(alpha, words, masks, module)
+    Rb = [_right_multiplication_matrix(b, words, masks, module)
+          for b in betas]
     steps = round(T / dt)
     D = len(words) * nm
     S = np.zeros((n_paths, D), dtype=complex)
@@ -936,11 +904,14 @@ def _config_lines(config: dict | None):
 
 
 def write_superpath_csv(sp_path: SuperPath, dest, config: dict | None = None):
-    """CSV rows of (t, per-mask Re/Im of z and theta)."""
-    masks = sorted({m for g in (*sp_path.z, *sp_path.theta)
-                    for m in g.terms})
-    if not masks:
-        masks = [0]
+    """CSV rows of (t, per-mask Re/Im of z and theta).
+
+    A mask gets columns iff some state has a non-zero coefficient there;
+    an exactly zero coefficient is written as 0.0,0.0.
+    """
+    Z, TH = sp_path.Z, sp_path.TH
+    used = (Z != 0).any(axis=0) | (TH != 0).any(axis=0)
+    masks = [int(m) for m in np.flatnonzero(used)] or [0]
     cols = ["t"]
     for m in masks:
         cols += [f"z{m}_re", f"z{m}_im"]
@@ -950,12 +921,13 @@ def write_superpath_csv(sp_path: SuperPath, dest, config: dict | None = None):
     if sp_path.swallowed_time is not None:
         lines.append(f"# status=swallowed t={sp_path.swallowed_time!r}")
     lines.append(",".join(cols))
-    for k, t in enumerate(sp_path.times):
+    for t, zs, ths in zip(sp_path.times.tolist(), Z[:, masks].tolist(),
+                          TH[:, masks].tolist()):
         row = [repr(float(t))]
-        for g in (sp_path.z[k], sp_path.theta[k]):
-            for m in masks:
-                c = complex(g.terms.get(m, 0))
-                row += [repr(c.real), repr(c.imag)]
+        for c in zs + ths:
+            if c == 0:
+                c = 0j
+            row += [repr(c.real), repr(c.imag)]
         lines.append(",".join(row))
     _write_text(dest, "\n".join(lines) + "\n")
 

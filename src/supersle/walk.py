@@ -46,6 +46,7 @@ from supersle.ns_algebra import (
     ModuleParams,
     VermaModule,
     VermaVector,
+    params_from_kappa_ns,
     quotient_projection,
     singular_vector_32,
 )
@@ -356,7 +357,7 @@ def reduced_drift_vector(spec: WalkSpec, params: ModuleParams) -> dict:
 
 def match_singular(spec: WalkSpec, kappa) -> dict:
     """Solve drift_vector = lambda * chi exactly; residual should vanish."""
-    params = params_from_kappa(kappa)
+    params = params_from_kappa_ns(kappa)
     v = drift_vector(spec, params)
     chi = singular_vector_32(params)
     g32 = (G(Fraction(-3, 2)),)
@@ -367,12 +368,6 @@ def match_singular(spec: WalkSpec, kappa) -> dict:
     residual = v - chi.lmul(lam)
     return {"params": params, "proportionality": lam, "residual": residual,
             "matched": residual.is_zero()}
-
-
-def params_from_kappa(kappa) -> ModuleParams:
-    from supersle.ns_algebra import params_from_kappa_ns
-
-    return params_from_kappa_ns(kappa)
 
 
 def martingale_drift(spec: WalkSpec, params: ModuleParams,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -96,6 +97,55 @@ class TestSde:
                            "2", "--T", "0.01", "--out", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text().splitlines()[-1]
+
+    def test_terminal_row_matches_closed_form(self, capsys):
+        from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
+        from supersle.sde import BrownianPath, closed_form_32
+        from supersle.superfield import SuperPoint
+
+        code, out, _ = run(capsys, "sde", "--spec", "32", "--kappa", "2",
+                           "--dt", "1e-3", "--T", "0.1", "--seed", "7")
+        assert code == 0
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        last = dict(zip(lines[0].split(","),
+                        (float(v) for v in lines[-1].split(","))))
+        init = SuperPoint(GrassmannNumber.scalar(2.0, 4, FLOAT),
+                          make_generator(3, 4, FLOAT))
+        ref = closed_form_32(init, BrownianPath.sample(1, 1e-3, 100, 7), 2)
+        for coord, g in (("z", ref.z[-1]), ("theta", ref.theta[-1])):
+            for mask in range(16):
+                got = complex(last.get(f"{coord}{mask}_re", 0.0),
+                              last.get(f"{coord}{mask}_im", 0.0))
+                assert abs(got - complex(g.coefficient(mask))) < 1e-9
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_walk_file_beyond_six_generators(self, capsys, tmp_path, n):
+        f = tmp_path / "walk.json"
+        f.write_text(json.dumps({
+            "n": n, "b": 1, "alpha0": {"-1": {"y": "1"}},
+            "beta": [{"-1": {"y": "1", "eta": f"1*p0 + 1*p{n - 1}"}}]}))
+        code, out, _ = run(capsys, "sde", "--spec", f"file:{f}",
+                           "--kappa", "1", "--T", "0.01", "--seed", "1")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == 11
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sde", "--T", "nan"],
+    ["sde", "--dt", "inf"],
+    ["sde", "--z0", "nan"],
+    ["trace", "--bounds", "1,0,1,0"],
+    ["trace", "--bounds", "0,1,x,2"],
+])
+def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--kappa", "1",
+                         "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 class TestMartingale:

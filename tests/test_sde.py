@@ -6,7 +6,11 @@ import pytest
 import sympy as sp
 
 from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
-from supersle.ns_algebra import CutoffOverflow, ModuleParams
+from supersle.ns_algebra import (
+    CutoffOverflow,
+    ModuleParams,
+    params_from_kappa_ns,
+)
 from supersle.superfield import SuperPoint, is_superconformal
 from supersle.sde import (
     BrownianPath,
@@ -27,10 +31,11 @@ from supersle.sde import (
     write_json_report,
     write_pgm,
     write_superpath_csv,
+    _binv,
+    _bmul,
 )
 from supersle.walk import (
     WalkSpec,
-    params_from_kappa,
     sde_system,
     spec_32,
     spec_32alt,
@@ -77,6 +82,34 @@ class TestBrownianPath:
     def test_coarsen_requires_divisor(self):
         with pytest.raises(ValueError):
             BrownianPath.sample(1, 1e-3, 100, 1).coarsen(7)
+
+
+def random_elements(rng, n, count):
+    m = 1 << n
+    return rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+
+
+class TestGrassmannKernel:
+    @pytest.mark.parametrize("n", range(9))
+    def test_bmul_matches_grassmann_product(self, n):
+        rng = np.random.default_rng(n)
+        A, B = random_elements(rng, n, 2), random_elements(rng, n, 2)
+        got = _bmul(n, A, B)
+        for a, b, g in zip(A, B, got):
+            prod = (GrassmannNumber(n, FLOAT, dict(enumerate(a)))
+                    * GrassmannNumber(n, FLOAT, dict(enumerate(b))))
+            want = np.array([prod.coefficient(m) for m in range(1 << n)])
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(g - want)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_binv_is_inverse(self, n):
+        rng = np.random.default_rng(100 + n)
+        A = 0.5 * random_elements(rng, n, 3)
+        A[:, 0] += 2.0
+        one = np.zeros(1 << n)
+        one[0] = 1.0
+        assert np.max(np.abs(_bmul(n, _binv(n, A), A) - one)) < 1e-12
 
 
 class TestEulerMaruyama:
@@ -231,7 +264,7 @@ class TestConvergence:
 
 class TestMcMartingale:
     def test_t0_identity(self):
-        rep = mc_martingale(spec_32(2), params_from_kappa(2),
+        rep = mc_martingale(spec_32(2), params_from_kappa_ns(2),
                             n_paths=1, T=0.0, dt=1e-3, seed=0)
         for e in rep["entries"]:
             want = 1.0 if (e["word"], e["mask"]) == ("1", 0) else 0.0
@@ -239,12 +272,12 @@ class TestMcMartingale:
             assert e["terminal_im"] == 0.0
 
     def test_matched_small(self):
-        rep = mc_martingale(spec_32(2), params_from_kappa(2),
+        rep = mc_martingale(spec_32(2), params_from_kappa_ns(2),
                             n_paths=400, T=0.1, dt=1e-2, seed=3)
         assert rep["martingale"]
 
     def test_detuned_small(self):
-        p = params_from_kappa(2)
+        p = params_from_kappa_ns(2)
         bad = ModuleParams(p.c, p.delta + sp.Rational(1, 2), p.level_cutoff)
         rep = mc_martingale(spec_32(2), bad,
                             n_paths=400, T=0.1, dt=1e-2, seed=3)
@@ -254,7 +287,7 @@ class TestMcMartingale:
         from fractions import Fraction
 
         with pytest.raises(CutoffOverflow):
-            mc_martingale(spec_32(2), params_from_kappa(2),
+            mc_martingale(spec_32(2), params_from_kappa_ns(2),
                           cutoff=Fraction(1), n_paths=1, T=0.01, dt=1e-2)
 
 
