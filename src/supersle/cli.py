@@ -7,9 +7,16 @@ sde         integrate a graded stochastic evolution; CSV path output
 martingale  Monte-Carlo drift check of the projected state expectation
 trace       supertrace hulls and Loewner-flow rasters
 
-Exit codes: 0 success / expectation met, 1 mathematical check failed,
-2 usage or parse error.  The environment variable SUPER_SLE_SEED is used
-as seed when --seed is not given.  All outputs embed the resolved
+Exit codes (a non-zero exit prints exactly one line on stderr):
+0  success / expectation met;
+1  'FAIL ...': a mathematical check failed: a verify check, an unmet
+   --expect-*, walk modes above the --cutoff level, or a non-finite sde
+   Euler path (then nothing is written);
+2  'error: ...': usage, parse or file error, or input the numerics refuse
+   (swallowed point, vanishing denominator, non-invertible initial point,
+   parity error).
+--kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5).  The
+seed falls back to SUPER_SLE_SEED, then 0.  All outputs embed the resolved
 configuration as '# key=value' comment lines (CSV/PGM) or a "config"
 object (JSON), so identical configurations produce byte-identical files.
 """
@@ -26,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from supersle.grassmann import EXACT, FLOAT, GrassmannNumber, make_generator
+from supersle.grassmann import (EXACT, FLOAT, GrassmannNumber, NotInvertible,
+                                make_generator)
 from supersle.ns_algebra import (
     AlgebraElement,
     CutoffOverflow,
@@ -41,7 +49,7 @@ from supersle.ns_algebra import (
     singular_vector_32,
     virasoro_level2_vector,
 )
-from supersle.superfield import SuperPoint
+from supersle.superfield import ParityError, SuperPoint
 from supersle.walk import WalkSpec, match_singular, sde_system, standard_spec
 from supersle import sde as sde_mod
 
@@ -50,31 +58,42 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_kappa(text: str, allow_zero: bool = False) -> Fraction:
+def _rational(text: str, what: str) -> Fraction:
     try:
-        kappa = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse kappa {text!r}: {exc}") from None
+        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
+
+
+def _parse_kappa(text: str, allow_zero: bool = False) -> Fraction:
+    kappa = _rational(text, "kappa")
     if kappa < 0 or (kappa == 0 and not allow_zero):
         raise UsageError("kappa must be a positive rational")
     return kappa
 
 
+def _paths(args) -> int:
+    if args.paths < 1:
+        raise UsageError("--paths must be at least 1")
+    return args.paths
+
+
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SUPER_SLE_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("SUPER_SLE_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"SUPER_SLE_SEED={env!r} is not an integer")
-    return 0
+    if seed < 0:
+        raise UsageError(f"the seed must be non-negative, got {seed}")
+    return seed
 
 
 def _steps_for(T: float, dt: float) -> int:
-    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < 0:
-        raise UsageError("need finite dt > 0 and T >= 0")
+    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T <= 0:
+        raise UsageError(f"need finite dt > 0 and T > 0, got dt={dt} T={T}")
     steps = round(T / dt)
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise UsageError(f"dt={dt} does not divide T={T}")
@@ -87,8 +106,15 @@ def _load_spec(name: str, kappa: Fraction, ring):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            return WalkSpec.from_json(data, ring)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            spec = WalkSpec.from_json(data, ring)
+            coeffs = [c for t in (spec.alpha0, *spec.beta)
+                      for pair in t.values() for g in pair
+                      for c in g.terms.values()]
+            if not np.isfinite(np.array(coeffs, dtype=complex)).all():
+                raise ValueError("coefficients must be finite numbers")
+            return spec
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
             raise UsageError(f"cannot load walk spec from {path!r}: {exc}")
     try:
         return standard_spec(name, kappa if ring is EXACT else float(kappa),
@@ -108,12 +134,6 @@ def _config_dict(args, extra=None) -> dict:
     if extra:
         out.update({k: str(v) for k, v in extra.items()})
     return out
-
-
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8"), True
-    return sys.stdout, False
 
 
 # -- verify -----------------------------------------------------------------------
@@ -151,12 +171,8 @@ def _verify_checks(kappa: Fraction):
 def cmd_verify(args) -> int:
     kappa = _parse_kappa(args.kappa)
     checks, report = _verify_checks(kappa)
-    dest, close = _open_out(args)
-    try:
-        sde_mod.write_json_report(report, dest, config=_config_dict(args))
-    finally:
-        if close:
-            dest.close()
+    sde_mod.write_json_report(report, args.out or sys.stdout,
+                              config=_config_dict(args))
     for name, ok in checks:
         if not ok:
             print(f"FAIL {name}", file=sys.stderr)
@@ -188,34 +204,30 @@ def cmd_sde(args) -> int:
     config = _config_dict(args, {"seed": seed, "steps": steps,
                                  "z0": args.z0})
     if args.convergence:
-        if spec.name == "32":
-            rep = sde_mod.convergence_32(float(kappa), init, args.T,
-                                         args.convergence_dts, args.paths,
-                                         seed)
-        elif spec.name == "32alt":
-            rep = sde_mod.convergence_32alt(float(kappa), init, args.T,
-                                            args.convergence_dts, args.paths,
-                                            seed)
-        else:
+        study = {"32": sde_mod.convergence_32,
+                 "32alt": sde_mod.convergence_32alt}.get(spec.name)
+        if study is None:
             raise UsageError("--convergence requires spec 32 or 32alt "
                              "(closed-form reference needed)")
-        dest, close = _open_out(args)
+        paths = _paths(args)
+        for d in args.convergence_dts:
+            _steps_for(args.T, d)
         try:
-            sde_mod.write_json_report(rep, dest, config=config)
-        finally:
-            if close:
-                dest.close()
+            rep = study(float(kappa), init, args.T, args.convergence_dts,
+                        paths, seed)
+        except ValueError as exc:  # a dt ladder the study cannot use
+            raise UsageError(f"--convergence-dts: {exc}") from None
+        sde_mod.write_json_report(rep, args.out or sys.stdout, config=config)
         return 0
     path = sde_mod.BrownianPath.sample(spec.brownian_dim, args.dt, steps,
                                        seed)
-    out = sde_mod.euler_maruyama(sde_system(spec), init, path,
-                                 on_swallow="truncate")
-    dest, close = _open_out(args)
-    try:
-        sde_mod.write_superpath_csv(out, dest, config=config)
-    finally:
-        if close:
-            dest.close()
+    with np.errstate(all="ignore"):  # non-finite states are reported below
+        out = sde_mod.euler_maruyama(sde_system(spec), init, path,
+                                     on_swallow="truncate")
+    if not (np.isfinite(out.Z).all() and np.isfinite(out.TH).all()):
+        print("FAIL sde: non-finite state on the Euler path", file=sys.stderr)
+        return 1
+    sde_mod.write_superpath_csv(out, args.out or sys.stdout, config=config)
     return 0
 
 
@@ -224,36 +236,30 @@ def cmd_sde(args) -> int:
 
 def cmd_martingale(args) -> int:
     kappa = _parse_kappa(args.kappa)
-    if args.paths < 1:
-        raise UsageError("--paths must be at least 1")
+    paths = _paths(args)
     seed = _resolve_seed(args)
     _steps_for(args.T, args.dt)
     spec = _load_spec(args.spec, kappa, EXACT)
     k = sp.Rational(kappa.numerator, kappa.denominator)
     params = params_from_kappa_ns(k)
-    if args.delta_shift:
-        shift = sp.nsimplify(sp.sympify(args.delta_shift), rational=True)
+    if args.delta_shift is not None:
+        shift = sp.Rational(_rational(args.delta_shift, "--delta-shift"))
         params = ModuleParams(params.c, params.delta + shift,
                               params.level_cutoff)
-    cutoff = Fraction(args.cutoff) if args.cutoff else None
-    try:
-        rep = sde_mod.mc_martingale(spec, params, cutoff=cutoff,
-                                    n_paths=args.paths, T=args.T, dt=args.dt,
-                                    seed=seed)
-    except CutoffOverflow as exc:
-        print(f"FAIL cutoff: {exc}", file=sys.stderr)
-        return 1
+    cutoff = None
+    if args.cutoff is not None:
+        cutoff = _rational(args.cutoff, "--cutoff")
+        if cutoff < 0 or cutoff.denominator > 2:
+            raise UsageError("--cutoff must be a non-negative multiple of 1/2")
+    rep = sde_mod.mc_martingale(spec, params, cutoff=cutoff, n_paths=paths,
+                                T=args.T, dt=args.dt, seed=seed)
     config = _config_dict(args, {"seed": seed})
-    dest, close = _open_out(args)
-    try:
-        sde_mod.write_json_report(rep, dest, config=config)
-    finally:
-        if close:
-            dest.close()
-    if args.expect_martingale:
-        return 0 if rep["martingale"] else 1
-    if args.expect_drift:
-        return 0 if rep["drift_detected"] else 1
+    sde_mod.write_json_report(rep, args.out or sys.stdout, config=config)
+    verdict = ("martingale" if args.expect_martingale else
+               "drift_detected" if args.expect_drift else None)
+    if verdict and not rep[verdict]:
+        print(f"FAIL {verdict}: max_z={rep['max_z']}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -275,6 +281,8 @@ def _parse_bounds(text):
 
 def cmd_trace(args) -> int:
     kappa = _parse_kappa(args.kappa, allow_zero=True)
+    if not args.out:
+        raise UsageError("trace requires --out")
     if args.grid < 1:
         raise UsageError("--grid must be positive")
     seed = _resolve_seed(args)
@@ -285,42 +293,32 @@ def cmd_trace(args) -> int:
         raster, trace = sde_mod.supertrace_hull(float(kappa), args.T,
                                                 args.dt, seed, args.grid,
                                                 bounds=bounds)
-        with open(args.out + ".pgm", "w", encoding="utf-8") as fh:
-            sde_mod.write_pgm(raster, fh, config=config)
-        lines = [f"# {k}={v}" for k, v in sorted(config.items())]
-        lines.append("t,re,im")
-        dt = args.dt
+        suffix, rows = "_trace.csv", ["t,re,im"]
         for i, p in enumerate(trace):
-            lines.append(f"{float(i * dt)!r},{float(p.real)!r},"
-                         f"{float(p.imag)!r}")
-        with open(args.out + "_trace.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return 0
-    # loewner
-    if bounds is None:
-        bounds = (-2.0, 2.0, 4.0 / args.grid, 2.0)
-    xs = np.linspace(bounds[0], bounds[1], args.grid)
-    ys = np.linspace(bounds[2], bounds[3], args.grid)
-    z_grid = xs[None, :] + 1j * ys[:, None]
-    res = sde_mod.loewner_flow(float(kappa), z_grid, args.T, args.dt, seed)
-    raster = sde_mod.HullRaster(bounds=bounds, occupancy=res.swallowed,
-                                horizon=args.T)
-    with open(args.out + ".pgm", "w", encoding="utf-8") as fh:
-        sde_mod.write_pgm(raster, fh, config=config)
-    lines = [f"# {k}={v}" for k, v in sorted(config.items())]
-    lines.append("re,im,swallowed_time,final_g_re,final_g_im")
-    for iy in range(args.grid):
-        for ix in range(args.grid):
-            z = z_grid[iy, ix]
-            t = res.swallowed_time[iy, ix]
-            g = res.final_g[iy, ix]
-            lines.append(",".join([
+            rows.append(f"{float(i * args.dt)!r},{float(p.real)!r},"
+                        f"{float(p.imag)!r}")
+    else:  # loewner
+        if bounds is None:
+            bounds = (-2.0, 2.0, 4.0 / args.grid, 2.0)
+        xs = np.linspace(bounds[0], bounds[1], args.grid)
+        ys = np.linspace(bounds[2], bounds[3], args.grid)
+        z_grid = xs[None, :] + 1j * ys[:, None]
+        res = sde_mod.loewner_flow(float(kappa), z_grid, args.T, args.dt,
+                                   seed)
+        raster = sde_mod.HullRaster(bounds=bounds, occupancy=res.swallowed,
+                                    horizon=args.T)
+        suffix, rows = "_points.csv", [
+            "re,im,swallowed_time,final_g_re,final_g_im"]
+        for z, t, g in zip(z_grid.ravel(), res.swallowed_time.ravel(),
+                           res.final_g.ravel()):
+            rows.append(",".join([
                 repr(float(z.real)), repr(float(z.imag)),
                 "" if np.isnan(t) else repr(float(t)),
                 "" if np.isnan(g.real) else repr(float(g.real)),
                 "" if np.isnan(g.imag) else repr(float(g.imag))]))
-    with open(args.out + "_points.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    sde_mod.write_pgm(raster, args.out + ".pgm", config=config)
+    lines = sde_mod._config_lines(config) + rows
+    sde_mod._write_text(args.out + suffix, "\n".join(lines) + "\n")
     return 0
 
 
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=0.25)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--cutoff", default=None,
-                   help="level cutoff as a rational, default 7/2")
+                   help="level cutoff, a multiple of 1/2; default 7/2")
     p.add_argument("--delta-shift", dest="delta_shift", default=None,
                    help="detune the highest weight by this rational")
     group = p.add_mutually_exclusive_group()
@@ -401,17 +399,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "trace" and not args.out:
-        print("error: trace requires --out", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, OSError, NotInvertible, ParityError,
+            sde_mod.SwallowedPoint, sde_mod.DenominatorVanishes) as exc:
+        code, message = 2, f"error: {exc}"
+    except CutoffOverflow as exc:
+        code, message = 1, f"FAIL cutoff: {exc}"
+    print(" ".join(message.split()), file=sys.stderr)  # always one line
+    return code
 
 
 if __name__ == "__main__":

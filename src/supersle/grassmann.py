@@ -208,14 +208,6 @@ class GrassmannNumber:
             return ODD
         return EVEN  # zero counts as even
 
-    def even_part(self) -> "GrassmannNumber":
-        return GrassmannNumber(self.n, self.ring,
-                               {m: c for m, c in self.terms.items() if m.bit_count() % 2 == 0})
-
-    def odd_part(self) -> "GrassmannNumber":
-        return GrassmannNumber(self.n, self.ring,
-                               {m: c for m, c in self.terms.items() if m.bit_count() % 2 == 1})
-
     def grade_involution(self) -> "GrassmannNumber":
         """Flip the sign of the odd part (x -> (-1)^{|x|} x gradewise)."""
         return GrassmannNumber(

@@ -66,6 +66,11 @@ class DenominatorVanishes(RuntimeError):
     """The complex part of the integrand denominator came too close to 0."""
 
 
+# radius of the ball around the origin in which the body of z counts as
+# swallowed, and the smallest body the two-Brownian closed form inverts
+_SWALLOW_EPS = 1e-6
+
+
 # -- Brownian driving paths -----------------------------------------------------
 
 
@@ -244,7 +249,7 @@ def _has_negative_exponents(system: SdeSystem) -> bool:
 
 
 def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
-             increments: np.ndarray, dt: float, n: int, eps: float):
+             increments: np.ndarray, dt: float, n: int):
     """Batched explicit Euler; increments shape (paths, steps, dim).
 
     Returns (Z, TH) of shape (paths, steps+1, 2^n) and the first swallowing
@@ -263,7 +268,7 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     th = TH[:, 0].copy()
     for k in range(steps):
         if guard:
-            hit = (np.abs(z[:, 0]) < eps) & (swallowed > steps)
+            hit = (np.abs(z[:, 0]) < _SWALLOW_EPS) & (swallowed > steps)
             swallowed[hit] = k
         active = swallowed > steps
         if not active.any():
@@ -288,7 +293,7 @@ def _point_vectors(init: SuperPoint, n: int):
 
 
 def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
-                   eps: float = 1e-6, n: int | None = None,
+                   n: int | None = None,
                    on_swallow: str = "raise") -> SuperPath:
     """Explicit Euler integration of dX = X_0' dt + sum_i X_i' dB_i.
 
@@ -302,7 +307,7 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
     z0, th0 = _point_vectors(init, n)
     inc = path.increments.T[None, :, :]  # (1, steps, dim)
     Z, TH, swallowed = _em_core(system, z0[None, :], th0[None, :],
-                                inc, path.dt, n, eps)
+                                inc, path.dt, n)
     if swallowed[0] <= path.steps:
         t_hit = swallowed[0] * path.dt
         if on_swallow == "raise":
@@ -353,7 +358,7 @@ def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
 
 
 def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
-                  B1: np.ndarray, B2: np.ndarray, eps: float, n: int = 2):
+                  B1: np.ndarray, B2: np.ndarray, n: int = 2):
     """Batched closed form of the two-Brownian evolution (y = 1).
 
     B1, B2 have shape (paths, steps+1).  The time integral of
@@ -366,7 +371,7 @@ def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
     den = np.repeat(z0[None, None, :], B1.shape[1], axis=1).astype(complex)
     den = np.broadcast_to(den, B1.shape + (1 << n,)).copy()
     den[..., 0] -= sk * bplus
-    if np.min(np.abs(den[..., 0])) < eps:
+    if np.min(np.abs(den[..., 0])) < _SWALLOW_EPS:
         raise DenominatorVanishes(
             "complex part of z - sqrt(kappa) B+ fell below epsilon")
     integrand = _binv(n, den)
@@ -383,8 +388,8 @@ def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
     return Z, TH
 
 
-def closed_form_32alt(init: SuperPoint, path: BrownianPath, kappa,
-                      eps: float = 1e-6) -> SuperPath:
+def closed_form_32alt(init: SuperPoint, path: BrownianPath,
+                      kappa) -> SuperPath:
     """Exact solution of the two-Brownian graded evolution along the path."""
     n = 2
     if path.dim != 2:
@@ -392,7 +397,7 @@ def closed_form_32alt(init: SuperPoint, path: BrownianPath, kappa,
     z0, th0 = _point_vectors(init, n)
     values = path.values
     Z, TH = _cf32alt_core(z0, th0, float(kappa), path.dt,
-                          values[0][None, :], values[1][None, :], eps, n)
+                          values[0][None, :], values[1][None, :], n)
     return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
 
 
@@ -479,11 +484,12 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
 
 
 _ERROR_FLOOR = 1e-12
+# the reference grid is this many times finer than the smallest Euler dt
+_REFINE = 10
 
 
 def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
-                      dt: float, B1: np.ndarray, B2: np.ndarray,
-                      eps: float, n: int = 2):
+                      dt: float, B1: np.ndarray, B2: np.ndarray, n: int = 2):
     """Terminal state of the two-Brownian closed form (single path).
 
     Only the left-endpoint Riemann sum of the integrand is accumulated, so
@@ -492,7 +498,7 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
     sk = math.sqrt(kappa)
     bplus = B1 + 1j * B2
     body = z0[0] - sk * bplus
-    if np.min(np.abs(body)) < eps:
+    if np.min(np.abs(body)) < _SWALLOW_EPS:
         raise DenominatorVanishes(
             "complex part of z - sqrt(kappa) B+ fell below epsilon")
     soul = z0.copy()
@@ -520,13 +526,12 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
 
 def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
                          T: float, dt_list, n_paths: int, seed,
-                         n: int | None = None, eps: float = 1e-6,
-                         refine: int = 10) -> dict:
+                         n: int | None = None) -> dict:
     """Strong-error table of explicit Euler against a closed-form solution.
 
     ``closed_form(z0_vec, th0_vec, path)`` must return the terminal state
     pair for one driving path.  Brownian paths are sampled once on a grid
-    ``refine`` times finer than the smallest dt; the reference solution is
+    ten times finer than the smallest dt; the reference solution is
     evaluated there and each Euler run uses the aggregated increments of the
     same underlying path, so the table isolates discretization error.
 
@@ -535,7 +540,9 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
     is then reported as infinity.
     """
     dt_list = sorted(float(d) for d in dt_list)
-    dt_ref = dt_list[0] / refine
+    if len(set(dt_list)) < 2:
+        raise ValueError("the dt ladder needs at least two distinct values")
+    dt_ref = dt_list[0] / _REFINE
     steps_ref = round(T / dt_ref)
     for d in dt_list:
         k = d / dt_ref
@@ -549,21 +556,19 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
     m = 1 << n
     ref_z = np.empty((n_paths, m), dtype=complex)
     ref_th = np.empty((n_paths, m), dtype=complex)
+    dts = sorted(dt_list, reverse=True)
+    ks = [round(d / dt_ref) for d in dts]
+    incs = [np.empty((n_paths, steps_ref // k, dim)) for k in ks]
     for p in range(n_paths):
         bp = BrownianPath.sample(dim, dt_ref, steps_ref, [seed, p])
         ref_z[p], ref_th[p] = closed_form(z0, th0, bp)
-    dts = sorted(dt_list, reverse=True)
-    errors = []
-    for d in dts:
-        k = round(d / dt_ref)
-        steps = steps_ref // k
-        inc = np.empty((n_paths, steps, dim))
-        for p in range(n_paths):
-            bp = BrownianPath.sample(dim, dt_ref, steps_ref, [seed, p])
+        for k, inc in zip(ks, incs):
             inc[p] = bp.coarsen(k).increments.T
+    errors = []
+    for d, inc in zip(dts, incs):
+        steps = inc.shape[1]
         Z, TH, swallowed = _em_core(system, np.tile(z0, (n_paths, 1)),
-                                    np.tile(th0, (n_paths, 1)),
-                                    inc, d, n, eps)
+                                    np.tile(th0, (n_paths, 1)), inc, d, n)
         if np.any(swallowed <= steps):
             raise SwallowedPoint(float(np.min(swallowed)) * d)
         err = np.maximum(np.max(np.abs(Z[:, -1] - ref_z), axis=-1),
@@ -580,7 +585,7 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
 
 
 def convergence_32(kappa, init: SuperPoint, T: float, dt_list, n_paths: int,
-                   seed, refine: int = 10) -> dict:
+                   seed) -> dict:
     system = sde_system(spec_32(kappa, FLOAT))
 
     def cf(z0, th0, bp):
@@ -589,21 +594,20 @@ def convergence_32(kappa, init: SuperPoint, T: float, dt_list, n_paths: int,
         return Z[0, 0], TH[0, 0]
 
     return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed,
-                                n=4, refine=refine)
+                                n=4)
 
 
 def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
-                      n_paths: int, seed, eps: float = 1e-6,
-                      refine: int = 10) -> dict:
+                      n_paths: int, seed) -> dict:
     system = sde_system(spec_32alt(kappa, FLOAT))
 
     def cf(z0, th0, bp):
         values = bp.values
         return _cf32alt_terminal(z0, th0, float(kappa), bp.dt,
-                                 values[0], values[1], eps, 2)
+                                 values[0], values[1], 2)
 
     return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed,
-                                n=2, eps=eps, refine=refine)
+                                n=2)
 
 
 # -- Monte-Carlo martingale check ---------------------------------------------------
@@ -867,17 +871,14 @@ def _fill_hull(occ: np.ndarray) -> np.ndarray:
     return hull
 
 
-def supertrace_hull(kappa, T: float, dt: float, seed, grid,
+def supertrace_hull(kappa, T: float, dt: float, seed, grid: int,
                     bounds=None):
     """Raster hull of the scaled complex Brownian trace sqrt(kappa) B+.
 
-    ``grid`` is the raster resolution (nx, ny) or a single integer.  Returns
-    (HullRaster, polyline) where the polyline starts at the origin.
+    ``grid`` is the raster resolution per axis.  Returns (HullRaster,
+    polyline) where the polyline starts at the origin.
     """
-    if isinstance(grid, int):
-        grid = (grid, grid)
-    nx, ny = grid
-    if nx < 1 or ny < 1:
+    if grid < 1:
         raise ValueError("grid resolution must be positive")
     steps = round(T / dt)
     sk = math.sqrt(float(kappa))
@@ -889,7 +890,7 @@ def supertrace_hull(kappa, T: float, dt: float, seed, grid,
                   float(trace.real.max() + margin),
                   float(trace.imag.min() - margin),
                   float(trace.imag.max() + margin))
-    occ = _rasterize_polyline(trace, bounds, (ny, nx))
+    occ = _rasterize_polyline(trace, bounds, (grid, grid))
     hull = _fill_hull(occ)
     return HullRaster(bounds=bounds, occupancy=hull, horizon=T), trace
 

@@ -300,24 +300,23 @@ def coefficient_route_commutator(spec: WalkSpec, i: int, delta,
 # -- drift vectors and singular-vector matching ----------------------------------
 
 
-def alpha_element(spec: WalkSpec) -> AlgebraElement:
+def _table_element(table) -> AlgebraElement:
+    """sum_n (y_n L_n + eta_n G_{n+1/2}) for one coefficient table."""
     out = AlgebraElement()
-    for n, (y, eta) in spec.alpha0.items():
+    for n, (y, eta) in table.items():
         if not y.is_zero():
             out = out + AlgebraElement.from_mode(y, L(n))
         if not eta.is_zero():
             out = out + AlgebraElement.from_mode(eta, G(Fraction(2 * n + 1, 2)))
     return out
+
+
+def alpha_element(spec: WalkSpec) -> AlgebraElement:
+    return _table_element(spec.alpha0)
 
 
 def beta_element(spec: WalkSpec, i: int) -> AlgebraElement:
-    out = AlgebraElement()
-    for n, (y, eta) in spec.beta[i].items():
-        if not y.is_zero():
-            out = out + AlgebraElement.from_mode(y, L(n))
-        if not eta.is_zero():
-            out = out + AlgebraElement.from_mode(eta, G(Fraction(2 * n + 1, 2)))
-    return out
+    return _table_element(spec.beta[i])
 
 
 def drift_generator(spec: WalkSpec) -> AlgebraElement:
@@ -330,9 +329,9 @@ def drift_generator(spec: WalkSpec) -> AlgebraElement:
     return out
 
 
-def drift_vector(spec: WalkSpec, params: ModuleParams, trim: bool = True) -> VermaVector:
+def drift_vector(spec: WalkSpec, params: ModuleParams) -> VermaVector:
     """(alpha_0 + 1/2 sum beta_i^2)|Delta> in the PBW basis."""
-    module = VermaModule(params, trim=trim)
+    module = VermaModule(params)
     return module.apply(drift_generator(spec),
                         module.vacuum(n=spec.num_generators, ring=spec.ring))
 

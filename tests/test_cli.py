@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersle.cli import main
 
@@ -139,6 +143,25 @@ class TestSde:
     ["sde", "--z0", "nan"],
     ["trace", "--bounds", "1,0,1,0"],
     ["trace", "--bounds", "0,1,x,2"],
+    ["sde", "--spec", "32", "--convergence", "--paths", "0", "--T", "0.1"],
+    ["sde", "--spec", "32", "--convergence", "--paths", "-3", "--T", "0.1"],
+    ["sde", "--spec", "32alt", "--z0", "0", "--convergence", "--T", "0.1",
+     "--paths", "5"],
+    ["sde", "--spec", "32", "--z0", "0", "--convergence", "--T", "0.1",
+     "--paths", "5"],
+    *(["sde", "--spec", "32", "--convergence", "--T", "0.1", "--paths", "5",
+       "--convergence-dts", d] for d in ("0.03", "0", "nan", "-0.01")),
+    ["sde", "--spec", "32", "--convergence", "--T", "0.12", "--paths", "2",
+     "--convergence-dts", "0.04", "0.03"],
+    ["sde", "--spec", "32", "--convergence", "--T", "0.02", "--paths", "2",
+     "--convergence-dts", "0.01"],
+    ["sde", "--T", "0.01", "--seed", "-1"],
+    *(["martingale", "--T", "0.01", "--dt", "1e-2", "--paths", "2",
+       "--cutoff", c] for c in ("abc", "1/3", "-1")),
+    *(["martingale", "--T", "0.01", "--dt", "1e-2", "--paths", "2",
+       "--delta-shift", d] for d in ("x+", "x")),
+    ["martingale", "--T", "0", "--paths", "2"],
+    ["trace", "--T", "0"],
 ])
 def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--kappa", "1",
@@ -146,6 +169,89 @@ def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, walk, argv, expected", [
+    ("sde", "[1, 2]", ["--T", "0.01"], 2),
+    ("martingale", {"n": 4, "b": 1, "beta": [{"-1": {"y": "{x}*p0p1"}}]},
+     ["--T", "0.01", "--dt", "1e-2", "--paths", "2"], 2),
+    ("martingale", {"n": 4, "b": 1, "beta": [{"-1": {"y": "{nan}*p0p1"}}]},
+     ["--T", "0.01", "--dt", "1e-2", "--paths", "2"], 2),
+    # the Euler path overflows: a check failure, and no CSV of NaN rows
+    ("sde", {"n": 1, "b": 1, "alpha0": {"3": {"y": "1"}},
+             "beta": [{"1": {"y": "1"}}]}, ["--z0", "-3", "--T", "1"], 1),
+])
+def test_bad_walk_file_exit_code(capsys, tmp_path, command, walk, argv,
+                                 expected):
+    spec = tmp_path / "walk.json"
+    spec.write_text(walk if isinstance(walk, str) else json.dumps(walk))
+    dest = tmp_path / "x"
+    code, out, err = run(capsys, command, "--spec", f"file:{spec}",
+                         "--kappa", "1", *argv, "--out", str(dest))
+    assert code == expected
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert not dest.exists()
+
+
+@st.composite
+def cli_argv(draw):
+    """argv that argparse accepts, with every run kept tiny: finite
+    positive values satisfy T <= 0.02, dt >= 1e-3, paths <= 5, grid <= 8.
+
+    Each flag takes a junk value about one time in six, so most examples
+    get past the input checks into the numerics."""
+    def pick(valid, junk=()):
+        junky = junk and draw(st.integers(0, 5)) == 0
+        return draw(st.sampled_from(junk if junky else valid))
+
+    steps = (["0.001", "0.005", "0.01"], ["0", "-0.001", "nan", "inf"])
+    rationals = (["0", "1/2", "7/2", "1", "3/2"],
+                 ["1/3", "-1", "abc", "1/0", "nan", "x+", ""])
+    command = pick(["verify", "sde", "martingale", "trace"])
+    argv = [command, "--kappa", pick(["1", "2", "8/3", "1/2"],
+                                     ["0", "-1", "abc", "1/0", "nan", "inf"])]
+    if draw(st.booleans()):
+        argv += ["--seed", pick(["0", "7"], ["-1"])]
+    if command != "verify":
+        argv += ["--T", pick(["0.01", "0.02"], ["0", "-1", "nan", "inf"]),
+                 "--dt", pick(*steps)]
+    if command in ("sde", "martingale"):
+        argv += ["--spec", pick(["32", "32alt", "virasoro"], ["nope"]),
+                 "--paths", pick(["1", "5"], ["-1", "0"])]
+    if command == "sde":
+        argv += ["--z0", pick(["2", "-1", "0.5"], ["0", "nan", "inf"])]
+        if draw(st.booleans()):
+            argv += ["--convergence", "--convergence-dts",
+                     *(pick(*steps) for _ in range(draw(st.integers(1, 3))))]
+    if command == "martingale":
+        for flag in ("--cutoff", "--delta-shift"):
+            if draw(st.booleans()):
+                argv += [flag, pick(*rationals)]
+        argv += pick([[], ["--expect-martingale"], ["--expect-drift"]])
+    if command == "trace":
+        argv += ["--mode", pick(["supertrace", "loewner"]),
+                 "--grid", pick(["1", "8"], ["-1", "0"])]
+        if draw(st.booleans()):
+            argv.append("--bounds=" + pick(["-1,1,0.1,1"], ["1,0,1,0",
+                                                            "0,1,x,2",
+                                                            "nan,1,0,1"]))
+    return argv, draw(st.booleans()) or command == "trace"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cli_argv())
+def test_fuzzed_argv_exit_contract(case):
+    argv, to_file = case
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if to_file:
+            argv = argv + ["--out", os.path.join(tmp, "out")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(stderr.getvalue().strip().splitlines()) == 1
 
 
 class TestMartingale:
@@ -166,10 +272,12 @@ class TestMartingale:
 
     def test_expectation_failure_exit_1(self, capsys):
         # a matched walk must not report drift
-        code, _, _ = run(capsys, "martingale", "--spec", "32", "--kappa",
-                         "2", "--paths", "300", "--T", "0.1", "--dt",
-                         "1e-2", "--seed", "3", "--expect-drift")
+        code, _, err = run(capsys, "martingale", "--spec", "32", "--kappa",
+                           "2", "--paths", "300", "--T", "0.1", "--dt",
+                           "1e-2", "--seed", "3", "--expect-drift")
         assert code == 1
+        assert err.startswith("FAIL") and "max_z=" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_paths_zero_usage_error(self, capsys):
         code, _, err = run(capsys, "martingale", "--kappa", "2",
