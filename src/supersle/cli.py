@@ -253,6 +253,8 @@ def cmd_martingale(args) -> int:
             raise UsageError("--cutoff must be a non-negative multiple of 1/2")
     rep = sde_mod.mc_martingale(spec, params, cutoff=cutoff, n_paths=paths,
                                 T=args.T, dt=args.dt, seed=seed)
+    if paths < 2:  # after the cutoff check, which fails with exit 1 first
+        raise UsageError("martingale needs --paths >= 2 for a standard error")
     config = _config_dict(args, {"seed": seed})
     sde_mod.write_json_report(rep, args.out or sys.stdout, config=config)
     verdict = ("martingale" if args.expect_martingale else
@@ -299,6 +301,9 @@ def cmd_trace(args) -> int:
                         f"{float(p.imag)!r}")
     else:  # loewner
         if bounds is None:
+            if args.grid < 3:
+                raise UsageError("loewner --grid must be at least 3 "
+                                 "without --bounds")
             bounds = (-2.0, 2.0, 4.0 / args.grid, 2.0)
         xs = np.linspace(bounds[0], bounds[1], args.grid)
         ys = np.linspace(bounds[2], bounds[3], args.grid)

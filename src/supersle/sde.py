@@ -706,8 +706,16 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
           for b in betas]
     steps = round(T / dt)
     D = len(words) * nm
-    S = np.zeros((n_paths, D), dtype=complex)
-    S[:, 0] = 1.0  # O_0 = identity word, trivial mask
+    # Step only the states reachable from O_0 = identity word, trivial mask
+    # (state 0); the other columns stay exactly zero.
+    adj = np.any([R != 0 for R in (Ra, *Rb)], axis=0)
+    live = np.arange(D) == 0
+    while (grown := live | adj[live].any(axis=0)).sum() > live.sum():
+        live = grown
+    idx = np.flatnonzero(live)
+    Ra, *Rb = (R[np.ix_(idx, idx)] for R in (Ra, *Rb))
+    S = np.zeros((n_paths, len(idx)), dtype=complex)
+    S[:, 0] = 1.0
     increments = np.empty((n_paths, steps, spec.brownian_dim))
     for p in range(n_paths):
         rng = np.random.default_rng([seed, p])
@@ -719,8 +727,9 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
             delta += increments[:, k, i][:, None] * (S @ R)
         S = S + delta
     Pm = quotient_projection(params, cutoff, check_singular=False).matrix(words)
-    S3 = S.reshape(n_paths, len(words), nm)
-    proj = np.einsum("vw,pwm->pvm", Pm, S3)
+    full = np.zeros((n_paths, D), dtype=complex)
+    full[:, idx] = S
+    proj = np.einsum("vw,pwm->pvm", Pm, full.reshape(n_paths, len(words), nm))
     v0 = np.zeros((len(words), nm), dtype=complex)
     v0[0, 0] = 1.0
     proj0 = np.einsum("vw,wm->vm", Pm, v0)

@@ -162,6 +162,9 @@ class TestSde:
        "--delta-shift", d] for d in ("x+", "x")),
     ["martingale", "--T", "0", "--paths", "2"],
     ["trace", "--T", "0"],
+    ["martingale", "--T", "0.02", "--paths", "1"],
+    *(["trace", "--mode", "loewner", "--T", "0.02", "--grid", g]
+      for g in ("1", "2")),
 ])
 def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--kappa", "1",

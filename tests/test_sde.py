@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
 from supersle.ns_algebra import (
     CutoffOverflow,
     ModuleParams,
+    VermaModule,
     params_from_kappa_ns,
+    pbw_words,
+    quotient_projection,
 )
 from supersle.superfield import SuperPoint, is_superconformal
 from supersle.sde import (
@@ -33,9 +37,14 @@ from supersle.sde import (
     write_superpath_csv,
     _binv,
     _bmul,
+    _element_data,
+    _reachable_masks,
+    _right_multiplication_matrix,
 )
 from supersle.walk import (
     WalkSpec,
+    beta_element,
+    drift_generator,
     sde_system,
     spec_32,
     spec_32alt,
@@ -262,6 +271,39 @@ class TestConvergence:
         assert rep["order"] >= 0.4
 
 
+def full_mc_basis(spec, params, cutoff=Fraction(7, 2)):
+    """Words, masks, R_alpha, [R_beta_i] and the quotient projection on the
+    full (word x mask) basis that ``mc_martingale`` reports on."""
+    elements = [_element_data(drift_generator(spec))] + [
+        _element_data(beta_element(spec, i))
+        for i in range(spec.brownian_dim)]
+    words = pbw_words(cutoff)
+    masks = _reachable_masks(elements)
+    module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
+    Ra, *Rb = (_right_multiplication_matrix(e, words, masks, module)
+               for e in elements)
+    Pm = quotient_projection(params, cutoff, check_singular=False)
+    return words, masks, Ra, Rb, Pm.matrix(words)
+
+
+def assert_full_layout(rep, spec, basis_size, reachable):
+    """The report keeps every (word, mask) entry, and exactly the entries
+    that no reachable state projects onto are zero."""
+    params = params_from_kappa_ns(2)
+    words, masks, Ra, Rb, Pm = full_mc_basis(spec, params)
+    adj = sum(np.abs(R) for R in (Ra, *Rb)) > 0
+    live = np.eye(len(Ra), dtype=bool)[0]
+    for _ in range(len(Ra)):
+        live = live | (live @ adj)
+    assert rep["basis_size"] == basis_size == len(rep["entries"])
+    assert live.sum() == reachable
+    support = (np.abs(Pm) @ live.reshape(len(words), len(masks))) > 0
+    fields = ("terminal_re", "terminal_im", "drift_re", "drift_im",
+              "se_re", "se_im")
+    for e, hit in zip(rep["entries"], support.ravel(), strict=True):
+        assert any(e[k] != 0.0 for k in fields) == hit
+
+
 class TestMcMartingale:
     def test_t0_identity(self):
         rep = mc_martingale(spec_32(2), params_from_kappa_ns(2),
@@ -275,6 +317,10 @@ class TestMcMartingale:
         rep = mc_martingale(spec_32(2), params_from_kappa_ns(2),
                             n_paths=400, T=0.1, dt=1e-2, seed=3)
         assert rep["martingale"]
+        assert_full_layout(rep, spec_32(2), 96, 5)
+        rep = mc_martingale(spec_32alt(2), params_from_kappa_ns(2),
+                            n_paths=400, T=0.1, dt=1e-2, seed=3)
+        assert_full_layout(rep, spec_32alt(2), 48, 14)
 
     def test_detuned_small(self):
         p = params_from_kappa_ns(2)
@@ -283,9 +329,34 @@ class TestMcMartingale:
                             n_paths=400, T=0.1, dt=1e-2, seed=3)
         assert rep["drift_detected"]
 
-    def test_cutoff_too_small(self):
-        from fractions import Fraction
+    @pytest.mark.parametrize("make_spec", [spec_32, spec_32alt])
+    def test_exact_expectation_oracle(self, make_spec):
+        # The increments are centred and independent, so
+        # E[S_T] = e0 (I + dt R_alpha)^steps exactly.
+        T, dt = 0.1, 1e-2
+        p = params_from_kappa_ns(2)
+        for shift, max_drift in ((0, 0.0), (sp.Rational(1, 2), 1.0)):
+            params = ModuleParams(p.c, p.delta + shift, p.level_cutoff)
+            words, masks, Ra, _, Pm = full_mc_basis(make_spec(2), params)
 
+            def project(state):
+                return (Pm @ state.reshape(len(words), len(masks))).ravel()
+
+            eye = np.eye(len(Ra))
+            exact = project(np.linalg.matrix_power(eye + dt * Ra,
+                                                   round(T / dt))[0])
+            drift = (exact - project(eye[0])) / T
+            assert np.abs(drift).max() == pytest.approx(max_drift, abs=1e-12)
+            rep = mc_martingale(make_spec(2), params, n_paths=400, T=T,
+                                dt=dt, seed=3)
+            # the terminal mean's standard error is T times the drift's
+            for e, x in zip(rep["entries"], exact, strict=True):
+                tol_re = 3 * T * e["se_re"] + 1e-12
+                tol_im = 3 * T * e["se_im"] + 1e-12
+                assert abs(e["terminal_re"] - x.real) <= tol_re
+                assert abs(e["terminal_im"] - x.imag) <= tol_im
+
+    def test_cutoff_too_small(self):
         with pytest.raises(CutoffOverflow):
             mc_martingale(spec_32(2), params_from_kappa_ns(2),
                           cutoff=Fraction(1), n_paths=1, T=0.01, dt=1e-2)
