@@ -246,15 +246,16 @@ def cmd_martingale(args) -> int:
         shift = sp.Rational(_rational(args.delta_shift, "--delta-shift"))
         params = ModuleParams(params.c, params.delta + shift,
                               params.level_cutoff)
-    cutoff = None
+    cutoff = params.level_cutoff
     if args.cutoff is not None:
         cutoff = _rational(args.cutoff, "--cutoff")
         if cutoff < 0 or cutoff.denominator > 2:
             raise UsageError("--cutoff must be a non-negative multiple of 1/2")
+    sde_mod.walk_elements(spec, cutoff)  # exit 1 comes before the paths check
+    if paths < 2:
+        raise UsageError("martingale needs --paths >= 2 for a standard error")
     rep = sde_mod.mc_martingale(spec, params, cutoff=cutoff, n_paths=paths,
                                 T=args.T, dt=args.dt, seed=seed)
-    if paths < 2:  # after the cutoff check, which fails with exit 1 first
-        raise UsageError("martingale needs --paths >= 2 for a standard error")
     config = _config_dict(args, {"seed": seed})
     sde_mod.write_json_report(rep, args.out or sys.stdout, config=config)
     verdict = ("martingale" if args.expect_martingale else

@@ -11,8 +11,8 @@ Two coefficient rings are supported:
 * ``EXACT`` -- sympy expressions.  Gaussian rationals are the common case,
   but square roots of rationals and free symbols (formal time, driving
   values) are handled exactly as well.  Zero tests are exact.
-* ``FLOAT`` -- complex float64, for Monte-Carlo work.  Zero tests drop
-  coefficients at or below the ring's epsilon (0 by default).
+* ``FLOAT`` -- complex float64, for Monte-Carlo work.  Zero tests are
+  exact comparisons with 0.
 
 Conversion goes exact -> float only.
 """
@@ -39,7 +39,6 @@ class CoefficientRing:
     """Scalar ring of the algebra: exact (sympy) or complex float64."""
 
     kind: str          # "exact" | "float"
-    eps: float = 0.0   # float kind only: |c| <= eps is treated as zero
 
     def __post_init__(self):
         if self.kind not in ("exact", "float"):
@@ -51,9 +50,7 @@ class CoefficientRing:
         return complex(x)
 
     def is_zero(self, c) -> bool:
-        if self.kind == "exact":
-            return c == 0
-        return abs(c) <= self.eps
+        return c == 0
 
 
 EXACT = CoefficientRing("exact")
@@ -110,8 +107,7 @@ class GrassmannNumber:
     def _join(self, other: "GrassmannNumber"):
         if self.ring.kind != other.ring.kind:
             raise ValueError("mixed coefficient rings (exact vs float)")
-        ring = self.ring if self.ring.eps >= other.ring.eps else other.ring
-        return max(self.n, other.n), ring
+        return max(self.n, other.n), self.ring
 
     def _as_grassmann(self, x):
         if isinstance(x, GrassmannNumber):
@@ -230,7 +226,7 @@ class GrassmannNumber:
 
     def inverse(self) -> "GrassmannNumber":
         b = self.body()
-        if self.ring.is_zero(b) or (self.ring.kind == "float" and abs(b) <= self.ring.eps):
+        if self.ring.is_zero(b):
             raise NotInvertible("element has vanishing body")
         if self.ring.kind == "exact":
             binv = sp.S.One / b

@@ -26,7 +26,7 @@ HALF = Fraction(1, 2)
 
 
 class CutoffOverflow(ValueError):
-    """A monomial exceeded the module's level cutoff with trimming disabled."""
+    """A word of a walk lies above the level cutoff of the truncated module."""
 
 
 @dataclass(frozen=True)
@@ -275,22 +275,14 @@ def _pbw_ok(m: Mode, first: Mode) -> bool:
 class VermaModule:
     """Normal-ordering engine for a truncated NS Verma module."""
 
-    def __init__(self, params: ModuleParams, trim: bool = True):
+    def __init__(self, params: ModuleParams):
         self.params = params
-        self.trim = trim
         self._cache = {}
 
     def vacuum(self, n: int = 0, ring=EXACT) -> VermaVector:
         return VermaVector(self.params, {(): GrassmannNumber.scalar(1, n, ring)})
 
     # -- scalar-coefficient core ------------------------------------------
-
-    def _store(self, mono):
-        if word_level(mono) > self.params.level_cutoff:
-            if self.trim:
-                return None
-            raise CutoffOverflow(f"monomial {_word_str(mono)} exceeds level cutoff")
-        return mono
 
     def act_mode(self, m: Mode, mono) -> dict:
         """Normal-order m * mono |Delta>; returns {PBW mono: sympy scalar}."""
@@ -299,18 +291,14 @@ class VermaModule:
             return self._cache[key]
         c, delta = self.params.c, self.params.delta
         out = {}
-        if not mono:
-            if m.lowering:
-                stored = self._store((m,))
-                if stored is not None:
-                    out[stored] = sp.S.One
-            elif m == L(0):
+        if m.lowering and (not mono or _pbw_ok(m, mono[0])):
+            # already PBW-ordered; words above the level cutoff are trimmed
+            if word_level((m,) + mono) <= self.params.level_cutoff:
+                out[(m,) + mono] = sp.S.One
+        elif not mono:
+            if m == L(0):
                 out[()] = delta
             # annihilators (L_n n>=1, G_r r>=1/2) give zero
-        elif m.lowering and _pbw_ok(m, mono[0]):
-            stored = self._store((m,) + mono)
-            if stored is not None:
-                out[stored] = sp.S.One
         elif m == mono[0] and m.odd:
             # G_r G_r = (1/2){G_r, G_r}
             rest = mono[1:]
@@ -365,8 +353,8 @@ class VermaModule:
         return out
 
 
-def apply(elem: AlgebraElement, v: VermaVector, trim: bool = True) -> VermaVector:
-    return VermaModule(v.params, trim=trim).apply(elem, v)
+def apply(elem: AlgebraElement, v: VermaVector) -> VermaVector:
+    return VermaModule(v.params).apply(elem, v)
 
 
 # -- singular vectors ---------------------------------------------------------
@@ -395,7 +383,7 @@ def is_singular(v: VermaVector, virasoro_only: bool = False):
     """True iff every raising mode of level <= level(v) annihilates v."""
     if v.is_zero():
         return True, []
-    module = VermaModule(v.params, trim=True)
+    module = VermaModule(v.params)
     obstructions = []
     for m in raising_modes(v.level(), virasoro_only):
         res = module.apply(AlgebraElement.from_mode(1, m), v)
@@ -556,7 +544,7 @@ def quotient_projection(params: ModuleParams,
         cutoff = params.level_cutoff
     cutoff = Fraction(cutoff)
     work = ModuleParams(params.c, params.delta, cutoff)
-    module = VermaModule(work, trim=True)
+    module = VermaModule(work)
     chi = singular_vector_32(work)
     span = []
     for w in pbw_words(cutoff - Fraction(3, 2)):

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.ndimage
 import sympy as sp
 
 from supersle.grassmann import (
@@ -676,6 +675,15 @@ def _right_multiplication_matrix(element, words, masks,
     return R
 
 
+def walk_elements(spec: WalkSpec, cutoff) -> list:
+    """[alpha, beta_1, ...] as element data; CutoffOverflow above the cutoff."""
+    elems = [_element_data(drift_generator(spec))] + [
+        _element_data(beta_element(spec, i)) for i in range(spec.brownian_dim)]
+    if any(word_level(u) > cutoff for elem in elems for u, _m in elem):
+        raise CutoffOverflow("level cutoff too small for the walk")
+    return elems
+
+
 def mc_martingale(spec: WalkSpec, params: ModuleParams,
                   cutoff: Fraction | None = None, n_paths: int = 1000,
                   T: float = 0.25, dt: float = 1e-3, seed=0) -> dict:
@@ -690,13 +698,7 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
     if cutoff is None:
         cutoff = params.level_cutoff
     cutoff = Fraction(cutoff)
-    alpha = _element_data(drift_generator(spec))
-    betas = [_element_data(beta_element(spec, i))
-             for i in range(spec.brownian_dim)]
-    for elem in [alpha, *betas]:
-        for u, _m in elem:
-            if word_level(u) > cutoff:
-                raise CutoffOverflow("level cutoff too small for the walk")
+    alpha, *betas = walk_elements(spec, cutoff)
     words = pbw_words(cutoff)
     masks = _reachable_masks([alpha, *betas])
     nm = len(masks)
@@ -718,9 +720,8 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
     S[:, 0] = 1.0
     increments = np.empty((n_paths, steps, spec.brownian_dim))
     for p in range(n_paths):
-        rng = np.random.default_rng([seed, p])
-        increments[p] = rng.normal(0.0, math.sqrt(dt),
-                                   size=(steps, spec.brownian_dim))
+        increments[p] = BrownianPath.sample(spec.brownian_dim, dt, steps,
+                                            [seed, p]).increments.T
     for k in range(steps):
         delta = dt * (S @ Ra)
         for i, R in enumerate(Rb):
@@ -865,19 +866,23 @@ def _rasterize_polyline(points: np.ndarray, bounds, shape) -> np.ndarray:
 
 
 def _fill_hull(occ: np.ndarray) -> np.ndarray:
-    """Occupied cells plus bounded components of the free complement."""
-    free = ~occ
-    labels, count = scipy.ndimage.label(free)
-    if count == 0:
-        return occ.copy()
-    border = np.unique(np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-    border = set(int(b) for b in border if b != 0)
-    hull = occ.copy()
-    for lab in range(1, count + 1):
-        if lab not in border:
-            hull |= labels == lab
-    return hull
+    """Occupied cells plus the free cells not 4-connected to the border.
+
+    The outside grows from a free one-cell frame around the raster by the
+    four one-cell shifts, masked to free cells, until it stops changing.
+    """
+    free = np.pad(~occ, 1, constant_values=True)
+    outside = np.pad(np.zeros_like(occ), 1, constant_values=True)
+    while True:
+        grown = outside.copy()
+        grown[1:] |= outside[:-1]
+        grown[:-1] |= outside[1:]
+        grown[:, 1:] |= outside[:, :-1]
+        grown[:, :-1] |= outside[:, 1:]
+        grown &= free
+        if np.array_equal(grown, outside):
+            return ~outside[1:-1, 1:-1]
+        outside = grown
 
 
 def supertrace_hull(kappa, T: float, dt: float, seed, grid: int,

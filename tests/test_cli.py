@@ -3,11 +3,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import supersle.sde as sde_mod
 from supersle.cli import main
 
 
@@ -294,6 +297,16 @@ class TestMartingale:
         assert code == 1
         assert "cutoff" in err
 
+    def test_paths_one_refused_before_stepping(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("mc_martingale called")
+
+        monkeypatch.setattr(sde_mod, "mc_martingale", fail)
+        code, out, err = run(capsys, "martingale", "--kappa", "2",
+                             "--paths", "1", "--T", "100")
+        assert code == 2
+        assert out == "" and "--paths >= 2" in err
+
 
 class TestTrace:
     def test_supertrace_files(self, capsys, tmp_path):
@@ -336,3 +349,16 @@ class TestParsing:
 
     def test_missing_kappa(self, capsys):
         assert main(["verify"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # the package needs numpy and sympy only; keep scipy out of its imports
+    src = os.path.dirname(os.path.dirname(sde_mod.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, supersle, supersle.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

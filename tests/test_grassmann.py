@@ -8,7 +8,6 @@ from supersle.grassmann import (
     FLOAT,
     MIXED,
     ODD,
-    CoefficientRing,
     GrassmannNumber,
     NotInvertible,
     format_grassmann,
@@ -85,12 +84,6 @@ class TestInverse:
     def test_zero_body(self):
         with pytest.raises(NotInvertible):
             make_generator(0).inverse()
-
-    def test_float_epsilon_body(self):
-        ring = CoefficientRing("float", eps=1e-9)
-        x = GrassmannNumber(2, ring, {0: 1e-12, 0b11: 1.0})
-        with pytest.raises(NotInvertible):
-            x.inverse()
 
 
 class TestDerivative:

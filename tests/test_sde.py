@@ -36,6 +36,7 @@ from supersle.sde import (
     write_pgm,
     write_superpath_csv,
     _binv,
+    _fill_hull,
     _bmul,
     _element_data,
     _reachable_masks,
@@ -420,6 +421,50 @@ class TestSupertraceHull:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             supertrace_hull(1.0, 0.1, 1e-2, 1, 0)
+
+    @staticmethod
+    def raster(*rows):
+        return np.array([[ch == "#" for ch in row] for row in rows])
+
+    def test_fill_ring_with_hole(self):
+        occ = self.raster(".....", ".###.", ".#.#.", ".###.", ".....")
+        want = occ.copy()
+        want[2, 2] = True
+        assert np.array_equal(_fill_hull(occ), want)
+
+    def test_fill_diagonal_gap_stays_closed(self):
+        # the centre touches the outside only through corners
+        occ = self.raster(".....", "..#..", ".#.#.", "..#..", ".....")
+        want = occ.copy()
+        want[2, 2] = True
+        assert np.array_equal(_fill_hull(occ), want)
+
+    def test_fill_hole_open_to_border(self):
+        occ = self.raster(".#.#.", ".#.#.", ".###.", ".....")
+        assert np.array_equal(_fill_hull(occ), occ)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (4, 5)])
+    def test_fill_uniform_rasters(self, shape):
+        full = np.ones(shape, dtype=bool)
+        assert np.array_equal(_fill_hull(full), full)
+        assert not _fill_hull(~full).any()
+
+    def test_fill_single_row_is_all_border(self):
+        occ = self.raster("#.##..#.")
+        assert np.array_equal(_fill_hull(occ), occ)
+        assert np.array_equal(_fill_hull(occ.T), occ.T)
+
+    def test_fill_matches_label_fill(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(20)
+        for _ in range(1000):
+            ny, nx = rng.integers(1, 25, size=2)
+            occ = rng.random((ny, nx)) < rng.uniform(0.1, 0.9)
+            labels, _ = ndimage.label(~occ)  # 4-connected cross
+            border = np.concatenate([labels[0], labels[-1],
+                                     labels[:, 0], labels[:, -1]])
+            want = occ | ((labels > 0) & ~np.isin(labels, border))
+            assert np.array_equal(_fill_hull(occ), want)
 
 
 class TestWriters:
