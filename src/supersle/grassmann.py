@@ -18,6 +18,8 @@ Conversion goes exact -> float only.
 """
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 
@@ -325,10 +327,19 @@ def make_generator(index: int, n: int | None = None,
 # -- textual serialization ----------------------------------------------------
 #
 # "3/2 + (0,1)*p0p1": coefficients are rationals, Gaussian rationals "(a,b)",
-# or (escape hatch) arbitrary exact expressions in braces; monomials are
-# concatenated generator names.  Bit-exact round trip for both rings.
+# or (escape hatch) exact expressions in braces; monomials are concatenated
+# generator names.  Bit-exact round trip for both rings.  Brace content is
+# never evaluated as code: its Python syntax tree is walked, and only
+# numbers, "I", symbol names, sqrt(...), + - * / **, unary signs and
+# parentheses are accepted, with Python's precedence.  Integers stay exact,
+# decimals become sympy Floats of the written digits, and other names free
+# symbols.  The " + " and "*" separators are only looked for outside braces.
 
 _MONO_RE = re.compile(r"^(p\d+)+$")
+_BRACE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.USub: operator.neg,
+              ast.UAdd: operator.pos}
 
 
 def _format_coeff(c, ring: CoefficientRing) -> str:
@@ -344,10 +355,38 @@ def _format_coeff(c, ring: CoefficientRing) -> str:
     return "{" + str(c) + "}"
 
 
+def _parse_brace(text: str):
+    """Sympy value of a brace coefficient, by the grammar above."""
+    def value(node):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)) and \
+                type(node.op) in _BRACE_OPS:
+            args = ([node.left, node.right] if isinstance(node, ast.BinOp)
+                    else [node.operand])
+            return _BRACE_OPS[type(node.op)](*map(value, args))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            if type(node.value) is int:
+                return sp.Integer(node.value)
+            return sp.Float(ast.get_source_segment(text, node))
+        if isinstance(node, ast.Name):
+            return sp.I if node.id == "I" else sp.Symbol(node.id)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "sqrt" and len(node.args) == 1 \
+                and not node.keywords:
+            return sp.sqrt(value(node.args[0]))
+        raise ValueError(f"brace coefficient {{{text}}} is outside the grammar")
+
+    text = text.strip()
+    try:
+        return value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError):
+        raise ValueError(f"cannot parse brace coefficient {{{text}}}") \
+            from None
+
+
 def _parse_coeff(tok: str, ring: CoefficientRing):
     tok = tok.strip()
     if tok.startswith("{") and tok.endswith("}"):
-        return sp.sympify(tok[1:-1])
+        return _parse_brace(tok[1:-1])
     if tok.startswith("(") and tok.endswith(")"):
         re_s, im_s = tok[1:-1].split(",")
         if ring.kind == "float":
@@ -372,15 +411,21 @@ def format_grassmann(g: GrassmannNumber) -> str:
     return " + ".join(parts)
 
 
+def _split_outside_braces(s: str, sep: str) -> list:
+    """s.split(sep), skipping a separator that a "}" follows before any "{"."""
+    return re.split(re.escape(sep) + r"(?![^{]*\})", s)
+
+
 def parse_grassmann(s: str, n: int, ring: CoefficientRing = EXACT) -> GrassmannNumber:
     s = s.strip()
     if s == "0":
         return GrassmannNumber.zero(n, ring)
     terms = {}
-    for part in s.split(" + "):
+    for part in _split_outside_braces(s, " + "):
         part = part.strip()
-        if "*" in part:
-            cs, mono = part.rsplit("*", 1)
+        *cs, mono = _split_outside_braces(part, "*")
+        if cs:
+            cs = "*".join(cs)
             if not _MONO_RE.match(mono):
                 raise ValueError(f"bad monomial {mono!r}")
             mask = 0

@@ -170,15 +170,16 @@ def _pair_table(n: int):
             np.array(starts))
 
 
-def _bmul(n: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Batched Grassmann product of (..., 2^n) coefficient arrays."""
-    left, right, signs, starts = _pair_table(n)
+    left, right, signs, starts = _pair_table(A.shape[-1].bit_length() - 1)
     terms = A[..., left] * B[..., right] * signs
     return np.add.reduceat(terms, starts, axis=-1)
 
 
-def _binv(n: int, A: np.ndarray) -> np.ndarray:
+def _binv(A: np.ndarray) -> np.ndarray:
     """Batched inverse via the Neumann series over the nilpotent soul."""
+    n = A.shape[-1].bit_length() - 1
     body = A[..., 0]
     if np.any(np.abs(body) == 0.0):
         raise NotInvertible("vanishing body in batched inverse")
@@ -191,7 +192,7 @@ def _binv(n: int, A: np.ndarray) -> np.ndarray:
     sign = 1.0
     for _ in range(n + 1):
         out += sign * power / bpow[..., None]
-        power = _bmul(n, power, soul)
+        power = _bmul(power, soul)
         if not power.any():
             break
         sign = -sign
@@ -211,44 +212,51 @@ def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
     return GrassmannNumber(n, FLOAT, terms)
 
 
-def _eval_batch(F: LaurentSuperfunction, Z: np.ndarray, TH: np.ndarray,
-                n: int) -> np.ndarray:
-    """Evaluate a Laurent superfunction at batched points (..., 2^n)."""
-    exps = sorted(set(F.a) | set(F.b))
-    if not exps:
-        return np.zeros_like(Z)
-    pows = {0: None}
-    one = np.zeros(1 << n, dtype=complex)
-    one[0] = 1.0
-    pows[0] = np.broadcast_to(one, Z.shape).copy()
-    hi, lo = max(exps + [0]), min(exps + [0])
+def _coefficient_table(fns, n: int):
+    """Mask vectors of the coefficients of Laurent superfunctions ``fns``.
+
+    Returns one ([(k, a_k)], [(k, b_k)]) pair per function, in dict order,
+    and the lowest and highest exponent over all of them.
+    """
+    table = [tuple([(k, _gvec(c, n)[None, :]) for k, c in part.items()]
+                   for part in (F.a, F.b)) for F in fns]
+    exps = [k for F in fns for k in (*F.a, *F.b)]
+    return table, min(exps, default=0), max(exps, default=0)
+
+
+def _eval_table(table, lo: int, hi: int, Z: np.ndarray,
+                TH: np.ndarray) -> list:
+    """Every function of the table at batched points (..., 2^n).
+
+    One z-power ladder, and one inverse when ``lo`` < 0, serve them all.
+    """
+    pows = {0: np.zeros_like(Z)}
+    pows[0][..., 0] = 1.0
     for k in range(1, hi + 1):
-        pows[k] = _bmul(n, pows[k - 1], Z)
+        pows[k] = _bmul(pows[k - 1], Z)
     if lo < 0:
-        zinv = _binv(n, Z)
+        zinv = _binv(Z)
         for k in range(-1, lo - 1, -1):
-            pows[k] = _bmul(n, pows[k + 1], zinv)
-    out = np.zeros_like(Z)
-    for k, c in F.a.items():
-        out = out + _bmul(n, _gvec(c, n)[None, :], pows[k])
-    bsum = np.zeros_like(Z)
-    for k, c in F.b.items():
-        bsum = bsum + _bmul(n, _gvec(c, n)[None, :], pows[k])
-    if bsum.any():
-        out = out + _bmul(n, TH, bsum)
+            pows[k] = _bmul(pows[k + 1], zinv)
+    out = []
+    for a, b in table:
+        val = np.zeros_like(Z)
+        for k, v in a:
+            val = val + _bmul(v, pows[k])
+        bsum = np.zeros_like(Z)
+        for k, v in b:
+            bsum = bsum + _bmul(v, pows[k])
+        if bsum.any():
+            val = val + _bmul(TH, bsum)
+        out.append(val)
     return out
 
 
 # -- Euler--Maruyama integration --------------------------------------------------
 
 
-def _has_negative_exponents(system: SdeSystem) -> bool:
-    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
-    return any(k < 0 for f in fns for k in list(f.a) + list(f.b))
-
-
 def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
-             increments: np.ndarray, dt: float, n: int):
+             increments: np.ndarray, dt: float):
     """Batched explicit Euler; increments shape (paths, steps, dim).
 
     Returns (Z, TH) of shape (paths, steps+1, 2^n) and the first swallowing
@@ -256,17 +264,17 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     frozen at their last valid state.
     """
     paths, steps, dim = increments.shape
-    guard = _has_negative_exponents(system)
-    Z = np.zeros((paths, steps + 1, 1 << n), dtype=complex)
+    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+    table, lo, hi = _coefficient_table(fns, z0.shape[-1].bit_length() - 1)
+    Z = np.zeros((paths, steps + 1, z0.shape[-1]), dtype=complex)
     TH = np.zeros_like(Z)
     Z[:, 0] = z0
     TH[:, 0] = th0
     swallowed = np.full(paths, steps + 1, dtype=int)
-    zd, td = system.drift
     z = Z[:, 0].copy()
     th = TH[:, 0].copy()
     for k in range(steps):
-        if guard:
+        if lo < 0:
             hit = (np.abs(z[:, 0]) < _SWALLOW_EPS) & (swallowed > steps)
             swallowed[hit] = k
         active = swallowed > steps
@@ -274,12 +282,13 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
             Z[:, k + 1:] = z[:, None, :]
             TH[:, k + 1:] = th[:, None, :]
             return Z, TH, swallowed
-        znew = z + dt * _eval_batch(zd, z, th, n)
-        tnew = th + dt * _eval_batch(td, z, th, n)
-        for i, (zi, ti) in enumerate(system.diffusion):
+        zd, td, *diffusion = _eval_table(table, lo, hi, z, th)
+        znew = z + dt * zd
+        tnew = th + dt * td
+        for i in range(dim):
             dB = increments[:, k, i][:, None]
-            znew = znew + dB * _eval_batch(zi, z, th, n)
-            tnew = tnew + dB * _eval_batch(ti, z, th, n)
+            znew = znew + dB * diffusion[2 * i]
+            tnew = tnew + dB * diffusion[2 * i + 1]
         z = np.where(active[:, None], znew, z)
         th = np.where(active[:, None], tnew, th)
         Z[:, k + 1] = z
@@ -292,7 +301,6 @@ def _point_vectors(init: SuperPoint, n: int):
 
 
 def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
-                   n: int | None = None,
                    on_swallow: str = "raise") -> SuperPath:
     """Explicit Euler integration of dX = X_0' dt + sum_i X_i' dB_i.
 
@@ -301,12 +309,10 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
     """
     if on_swallow not in ("raise", "truncate"):
         raise ValueError("on_swallow must be 'raise' or 'truncate'")
-    if n is None:
-        n = max(init.z.n, init.theta.n)
-    z0, th0 = _point_vectors(init, n)
+    z0, th0 = _point_vectors(init, max(init.z.n, init.theta.n))
     inc = path.increments.T[None, :, :]  # (1, steps, dim)
     Z, TH, swallowed = _em_core(system, z0[None, :], th0[None, :],
-                                inc, path.dt, n)
+                                inc, path.dt)
     if swallowed[0] <= path.steps:
         t_hit = swallowed[0] * path.dt
         if on_swallow == "raise":
@@ -322,7 +328,7 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
 
 
 def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float,
-               times: np.ndarray, B: np.ndarray, n: int = 4):
+               times: np.ndarray, B: np.ndarray):
     """Batched closed form of the one-Brownian evolution.
 
     B has shape (paths, steps+1); returns (Z, TH) of shape
@@ -330,13 +336,14 @@ def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float,
     """
     sk = math.sqrt(kappa)
     spec = spec_32(kappa, FLOAT)
+    n = z0.shape[-1].bit_length() - 1
     y = _gvec(spec.beta[0][-1][0], n) / sk
     eta = _gvec(spec.beta[0][-1][1], n) / sk
-    zinv = _binv(n, z0[None, :])[0]
-    yeta = _bmul(n, y, eta)
-    th_yeta_zinv = _bmul(n, th0, _bmul(n, yeta, zinv))
-    yeta_zinv = _bmul(n, yeta, zinv)
-    cz = sk * (y + _bmul(n, th0, eta))
+    zinv = _binv(z0[None, :])[0]
+    yeta = _bmul(y, eta)
+    th_yeta_zinv = _bmul(th0, _bmul(yeta, zinv))
+    yeta_zinv = _bmul(yeta, zinv)
+    cz = sk * (y + _bmul(th0, eta))
     ct = sk * eta
     Z = (z0[None, None, :] + times[None, :, None] * th_yeta_zinv[None, None, :]
          - B[:, :, None] * cz[None, None, :])
@@ -347,56 +354,54 @@ def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float,
 
 def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
     """Exact solution of the one-Brownian graded evolution along the path."""
-    n = 4
-    z0, th0 = _point_vectors(init, n)
+    z0, th0 = _point_vectors(init, 4)
     if abs(z0[0]) == 0.0:
         raise NotInvertible("initial z must have non-zero body")
     B = path.values[0][None, :]
-    Z, TH = _cf32_core(z0, th0, float(kappa), path.times, B, n)
+    Z, TH = _cf32_core(z0, th0, float(kappa), path.times, B)
     return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
 
 
 def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
-                  B1: np.ndarray, B2: np.ndarray, n: int = 2):
+                  B1: np.ndarray, B2: np.ndarray):
     """Batched closed form of the two-Brownian evolution (y = 1).
 
     B1, B2 have shape (paths, steps+1).  The time integral of
     1/(z - sqrt(kappa) B^+) is a left-endpoint Riemann sum on the same grid.
     """
     sk = math.sqrt(kappa)
-    eta = np.zeros(1 << n, dtype=complex)
+    eta = np.zeros(z0.shape[-1], dtype=complex)
     eta[1] = 1.0
     bplus = B1 + 1j * B2
     den = np.repeat(z0[None, None, :], B1.shape[1], axis=1).astype(complex)
-    den = np.broadcast_to(den, B1.shape + (1 << n,)).copy()
+    den = np.broadcast_to(den, B1.shape + z0.shape).copy()
     den[..., 0] -= sk * bplus
     if np.min(np.abs(den[..., 0])) < _SWALLOW_EPS:
         raise DenominatorVanishes(
             "complex part of z - sqrt(kappa) B+ fell below epsilon")
-    integrand = _binv(n, den)
+    integrand = _binv(den)
     I = np.zeros_like(integrand)
     np.cumsum(dt * integrand[:, :-1], axis=1, out=I[:, 1:])
     shift = I.copy()
     shift[..., 0] -= sk * B1
-    th_eta = _bmul(n, th0, eta)
+    th_eta = _bmul(th0, eta)
     Z = np.broadcast_to(z0[None, None, :], shift.shape).copy()
     Z[..., 0] -= sk * bplus
-    Z = Z + _bmul(n, th_eta[None, None, :], shift)
+    Z = Z + _bmul(th_eta[None, None, :], shift)
     TH = np.broadcast_to(th0[None, None, :], shift.shape).copy()
-    TH = TH + _bmul(n, eta[None, None, :], shift)
+    TH = TH + _bmul(eta[None, None, :], shift)
     return Z, TH
 
 
 def closed_form_32alt(init: SuperPoint, path: BrownianPath,
                       kappa) -> SuperPath:
     """Exact solution of the two-Brownian graded evolution along the path."""
-    n = 2
     if path.dim != 2:
         raise ValueError("two Brownian components required")
-    z0, th0 = _point_vectors(init, n)
+    z0, th0 = _point_vectors(init, 2)
     values = path.values
     Z, TH = _cf32alt_core(z0, th0, float(kappa), path.dt,
-                          values[0][None, :], values[1][None, :], n)
+                          values[0][None, :], values[1][None, :])
     return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
 
 
@@ -464,15 +469,15 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
     spec = spec_32(kappa, FLOAT)
     y = _gvec(spec.beta[0][-1][0], n) / sk
     eta = _gvec(spec.beta[0][-1][1], n) / sk
-    yeta = _bmul(n, y, eta)
+    yeta = _bmul(y, eta)
     z0, th0 = _point_vectors(init, n)
     B = path.values[0]
-    w = sol.Z + (y[None, :] + _bmul(n, sol.TH, eta[None, :])) \
+    w = sol.Z + (y[None, :] + _bmul(sol.TH, eta[None, :])) \
         * (sk * B[:, None])
     mu = sol.TH + sk * B[:, None] * eta[None, :]
-    conserved = _bmul(n, th0[None, :], z0[None, :]) \
+    conserved = _bmul(th0[None, :], z0[None, :]) \
         + sol.times[:, None] * yeta[None, :]
-    residual = _bmul(n, mu, w) - conserved
+    residual = _bmul(mu, w) - conserved
     return {
         "max_conservation_error": float(np.max(np.abs(residual))),
         "max_body_drift": float(np.max(np.abs(w[:, 0] - z0[0]))),
@@ -488,7 +493,7 @@ _REFINE = 10
 
 
 def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
-                      dt: float, B1: np.ndarray, B2: np.ndarray, n: int = 2):
+                      dt: float, B1: np.ndarray, B2: np.ndarray):
     """Terminal state of the two-Brownian closed form (single path).
 
     Only the left-endpoint Riemann sum of the integrand is accumulated, so
@@ -506,9 +511,9 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
     power = np.zeros_like(z0)
     power[0] = 1.0
     sign = 1.0
-    for k in range(n + 1):
+    for k in range(z0.shape[-1].bit_length()):
         I = I + power * (sign * dt * np.sum(body[:-1] ** (-(k + 1))))
-        power = _bmul(n, power, soul)
+        power = _bmul(power, soul)
         if not power.any():
             break
         sign = -sign
@@ -518,14 +523,13 @@ def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
     shift[0] -= sk * B1[-1]
     zT = z0.copy()
     zT[0] -= sk * bplus[-1]
-    zT = zT + _bmul(n, _bmul(n, th0, eta), shift)
-    thT = th0 + _bmul(n, eta, shift)
+    zT = zT + _bmul(_bmul(th0, eta), shift)
+    thT = th0 + _bmul(eta, shift)
     return zT, thT
 
 
 def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
-                         T: float, dt_list, n_paths: int, seed,
-                         n: int | None = None) -> dict:
+                         T: float, dt_list, n_paths: int, seed) -> dict:
     """Strong-error table of explicit Euler against a closed-form solution.
 
     ``closed_form(z0_vec, th0_vec, path)`` must return the terminal state
@@ -548,13 +552,10 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
         if abs(k - round(k)) > 1e-9 or steps_ref % round(k):
             raise ValueError("every dt must be an integer multiple of the "
                              "reference dt and divide the horizon")
-    if n is None:
-        n = max(init.z.n, init.theta.n)
     dim = len(system.diffusion)
-    z0, th0 = _point_vectors(init, n)
-    m = 1 << n
-    ref_z = np.empty((n_paths, m), dtype=complex)
-    ref_th = np.empty((n_paths, m), dtype=complex)
+    z0, th0 = _point_vectors(init, max(init.z.n, init.theta.n))
+    ref_z = np.empty((n_paths, z0.size), dtype=complex)
+    ref_th = np.empty((n_paths, z0.size), dtype=complex)
     dts = sorted(dt_list, reverse=True)
     ks = [round(d / dt_ref) for d in dts]
     incs = [np.empty((n_paths, steps_ref // k, dim)) for k in ks]
@@ -567,7 +568,7 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
     for d, inc in zip(dts, incs):
         steps = inc.shape[1]
         Z, TH, swallowed = _em_core(system, np.tile(z0, (n_paths, 1)),
-                                    np.tile(th0, (n_paths, 1)), inc, d, n)
+                                    np.tile(th0, (n_paths, 1)), inc, d)
         if np.any(swallowed <= steps):
             raise SwallowedPoint(float(np.min(swallowed)) * d)
         err = np.maximum(np.max(np.abs(Z[:, -1] - ref_z), axis=-1),
@@ -589,11 +590,10 @@ def convergence_32(kappa, init: SuperPoint, T: float, dt_list, n_paths: int,
 
     def cf(z0, th0, bp):
         Z, TH = _cf32_core(z0, th0, float(kappa), np.array([bp.dt * bp.steps]),
-                           np.array([[bp.values[0, -1]]]), 4)
+                           np.array([[bp.values[0, -1]]]))
         return Z[0, 0], TH[0, 0]
 
-    return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed,
-                                n=4)
+    return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed)
 
 
 def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
@@ -603,10 +603,9 @@ def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
     def cf(z0, th0, bp):
         values = bp.values
         return _cf32alt_terminal(z0, th0, float(kappa), bp.dt,
-                                 values[0], values[1], 2)
+                                 values[0], values[1])
 
-    return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed,
-                                n=2)
+    return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed)
 
 
 # -- Monte-Carlo martingale check ---------------------------------------------------

@@ -186,9 +186,15 @@ def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     # the Euler path overflows: a check failure, and no CSV of NaN rows
     ("sde", {"n": 1, "b": 1, "alpha0": {"3": {"y": "1"}},
              "beta": [{"1": {"y": "1"}}]}, ["--z0", "-3", "--T", "1"], 1),
+    # brace coefficients are parsed, never evaluated as Python
+    *((command, {"n": 4, "b": 1, "beta": [{"-1": {
+        "y": "{__import__('os').system('touch marker')}*p0p1"}}]},
+       ["--T", "0.01", "--dt", "1e-2", "--paths", "2"], 2)
+      for command in ("sde", "martingale")),
 ])
-def test_bad_walk_file_exit_code(capsys, tmp_path, command, walk, argv,
-                                 expected):
+def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
+                                 walk, argv, expected):
+    monkeypatch.chdir(tmp_path)
     spec = tmp_path / "walk.json"
     spec.write_text(walk if isinstance(walk, str) else json.dumps(walk))
     dest = tmp_path / "x"
@@ -197,6 +203,7 @@ def test_bad_walk_file_exit_code(capsys, tmp_path, command, walk, argv,
     assert code == expected
     assert out == "" and len(err.strip().splitlines()) == 1
     assert not dest.exists()
+    assert not (tmp_path / "marker").exists()
 
 
 @st.composite

@@ -202,6 +202,38 @@ class TestSerialization:
         x = GrassmannNumber(2, EXACT, {0b11: t * sp.sqrt(2)})
         assert parse_grassmann(format_grassmann(x), 2, EXACT) == x
 
+    @pytest.mark.parametrize("text, value", [
+        ("{1 + sqrt(2)}", 1 + sp.sqrt(2)),
+        ("{2*sqrt(6)/3}", 2 * sp.sqrt(6) / 3),
+    ])
+    def test_brace_scalar(self, text, value):
+        x = parse_grassmann(text, 0, EXACT)
+        assert x == GrassmannNumber.scalar(value, 0)
+        assert parse_grassmann(format_grassmann(x), 0, EXACT) == x
+
+    def test_brace_separators_inside_braces(self):
+        x = parse_grassmann("{1 + sqrt(2)*I}*p0p1 + {t**2/3}*p1", 2, EXACT)
+        t = sp.Symbol("t")
+        assert x == GrassmannNumber(2, EXACT, {0b11: 1 + sp.sqrt(2) * sp.I,
+                                               0b10: t**2 / 3})
+
+    @pytest.mark.parametrize("text", [
+        "-x**2 + 2**-1*3 - (1 + I)/3",
+        "2**3**2 - a - b - c",
+        "+-0.5e-3*sqrt(t)/.25",
+    ])
+    def test_brace_grammar_matches_python_precedence(self, text):
+        assert parse_grassmann("{" + text + "}", 0, EXACT) == \
+            GrassmannNumber.scalar(sp.sympify(text), 0)
+
+    @pytest.mark.parametrize("text", [
+        "__import__('os').getcwd()", "x.real", "f(2)", "sqrt 2", "(1",
+        "1)", "1 +", "", "[1]", "lambda: 1", "x;y", "(" * 2000 + "1",
+    ])
+    def test_brace_rejects_other_input(self, text):
+        with pytest.raises(ValueError):
+            parse_grassmann("{" + text + "}", 0, EXACT)
+
 
 class TestConversion:
     def test_to_float(self):

@@ -215,6 +215,43 @@ class TestVirasoroLevel2:
             virasoro_level2_vector(0)
 
 
+def gram_matrix(params, basis):
+    """Shapovalov form <u|v> on lowering words, with L_n^+ = L_-n and
+    G_r^+ = G_-r; each entry is the |Delta> coefficient of adj(u) v|Delta>."""
+    module = VermaModule(params)
+
+    def adj(word):
+        return tuple(Mode(m.kind, -m.index) for m in reversed(word))
+
+    return sp.Matrix([[sp.expand(module.act_word(adj(u) + v, ()).get((), 0))
+                       for v in basis] for u in basis])
+
+
+class TestGramDeterminant:
+    """Kac determinants (Friedan-Qiu-Shenker 1985; Meurman and
+    Rocha-Caridi 1986): an oracle for the singular conditions that does not
+    go through is_singular."""
+
+    def test_ns_level_three_halves(self):
+        delta = sp.Symbol("Delta")
+        params = ModuleParams(CSYM, delta)
+        gram = gram_matrix(params, [(G(Fraction(-3, 2)),), (L(-1), G(-HALF))])
+        assert sp.expand(gram - sp.Matrix([
+            [2 * delta + 2 * CSYM / 3, 4 * delta],
+            [4 * delta, 4 * delta**2 + 2 * delta]])) == sp.zeros(2, 2)
+        assert sp.expand(gram.det() + 4 * delta / 3
+                         * singular_condition_residual(params)) == 0
+
+    @pytest.mark.parametrize("kappa", [1, 2, sp.Rational(8, 3), 4, 6],
+                             ids=["1", "2", "8/3", "4", "6"])
+    def test_virasoro_level_two(self, kappa):
+        basis = [(L(-2),), (L(-1), L(-1))]
+        params = params_from_kappa_virasoro(kappa)
+        assert gram_matrix(params, basis).det() == 0
+        shifted = ModuleParams(params.c, params.delta + sp.Rational(1, 2))
+        assert gram_matrix(shifted, basis).det() != 0
+
+
 class TestParamsFromKappa:
     def test_kappa1(self):
         p = params_from_kappa_ns(1)

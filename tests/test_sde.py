@@ -15,7 +15,11 @@ from supersle.ns_algebra import (
     pbw_words,
     quotient_projection,
 )
-from supersle.superfield import SuperPoint, is_superconformal
+from supersle.superfield import (
+    LaurentSuperfunction,
+    SuperPoint,
+    is_superconformal,
+)
 from supersle.sde import (
     BrownianPath,
     DenominatorVanishes,
@@ -36,6 +40,8 @@ from supersle.sde import (
     write_pgm,
     write_superpath_csv,
     _binv,
+    _coefficient_table,
+    _eval_table,
     _fill_hull,
     _bmul,
     _element_data,
@@ -104,7 +110,7 @@ class TestGrassmannKernel:
     def test_bmul_matches_grassmann_product(self, n):
         rng = np.random.default_rng(n)
         A, B = random_elements(rng, n, 2), random_elements(rng, n, 2)
-        got = _bmul(n, A, B)
+        got = _bmul(A, B)
         for a, b, g in zip(A, B, got):
             prod = (GrassmannNumber(n, FLOAT, dict(enumerate(a)))
                     * GrassmannNumber(n, FLOAT, dict(enumerate(b))))
@@ -119,7 +125,68 @@ class TestGrassmannKernel:
         A[:, 0] += 2.0
         one = np.zeros(1 << n)
         one[0] = 1.0
-        assert np.max(np.abs(_bmul(n, _binv(n, A), A) - one)) < 1e-12
+        assert np.max(np.abs(_bmul(_binv(A), A) - one)) < 1e-12
+
+
+def random_grassmann(rng, n, masks, count):
+    """A float Grassmann number on ``count`` random masks from ``masks``."""
+    picked = rng.choice(masks, size=min(count, len(masks)), replace=False)
+    return GrassmannNumber(n, FLOAT, {
+        int(m): complex(*rng.normal(size=2)) for m in picked})
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_superfunction_eval(self, n):
+        rng = np.random.default_rng(200 + n)
+        masks = np.arange(1 << n)
+        even = masks[[bin(m).count("1") % 2 == 0 for m in masks]][1:]
+        odd = masks[[bin(m).count("1") % 2 == 1 for m in masks]]
+
+        def part():
+            exps = rng.choice(np.arange(-3, 3), size=rng.integers(1, 4),
+                              replace=False)
+            return {int(k): random_grassmann(rng, n, masks, 3) for k in exps}
+
+        fns = [LaurentSuperfunction(part(), part()) for _ in range(3)]
+        fns += [LaurentSuperfunction(), LaurentSuperfunction({}, part()),
+                LaurentSuperfunction({-3: random_grassmann(rng, n, masks, 2),
+                                      2: random_grassmann(rng, n, masks, 2)})]
+        points = []
+        for _ in range(4):
+            z = GrassmannNumber.scalar(complex(1.5, rng.normal()), n, FLOAT)
+            if len(even):
+                z = z + 0.5 * random_grassmann(rng, n, even, 3)
+            th = (random_grassmann(rng, n, odd, 3) if len(odd)
+                  else GrassmannNumber.zero(n, FLOAT))
+            points.append(SuperPoint(z, th))
+        Z = np.array([[complex(p.z.coefficient(m)) for m in masks]
+                      for p in points])
+        TH = np.array([[complex(p.theta.coefficient(m)) for m in masks]
+                       for p in points])
+        table, lo, hi = _coefficient_table(fns, n)
+        assert (lo, hi) == (-3, 2)
+        values = _eval_table(table, lo, hi, Z, TH)
+        assert len(values) == len(fns)
+        for F, got in zip(fns, values):
+            for p, row in zip(points, got):
+                want = F.eval(p)
+                want = np.array([complex(want.coefficient(m)) for m in masks])
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(row - want)) <= 1e-12 * scale
+
+    def test_coefficients_converted_once(self, monkeypatch):
+        import supersle.sde as sde_mod
+
+        calls = []
+        gvec = sde_mod._gvec
+        monkeypatch.setattr(sde_mod, "_gvec",
+                            lambda g, n: calls.append(g) or gvec(g, n))
+        system = sde_system(spec_32(2.0, FLOAT))
+        fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+        count = sum(len(F.a) + len(F.b) for F in fns)
+        euler_maruyama(system, init_32(), BrownianPath.sample(1, 1e-3, 1000, 1))
+        assert 0 < len(calls) <= count + 2
 
 
 class TestEulerMaruyama:
@@ -255,7 +322,7 @@ class TestConvergence:
             return z0, th0
 
         rep = pathwise_convergence(sde_system(spec), cf, init_32(), 0.1,
-                                   [1e-2, 1e-3], 5, 1, n=4)
+                                   [1e-2, 1e-3], 5, 1)
         assert all(e == 0.0 for e in rep["mean_error"])
         assert rep["exact_scheme"]
 
@@ -391,6 +458,30 @@ class TestLoewner:
             res = loewner_flow(8.0, grid, T, 1e-3, 11)
             f.append(res.swallowed.mean())
         assert f[0] < f[1] < f[2]
+
+
+class TestLoewnerCapacity:
+    """g_T(z) = z + 2T/z + a_2/z^2 + O(z^-3) with a_2 = 2 sqrt(kappa) int B.
+
+    Hydrodynamic normalization (Lawler, Conformally Invariant Processes in
+    the Plane, ch. 4); a_2 is taken as the left-endpoint sum of the same
+    grid the Euler flow uses.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kappa", [2.0, 8.0])
+    def test_expansion_at_infinity(self, kappa, seed):
+        T, dt = 1.0, 1e-3
+        B = BrownianPath.sample(1, dt, round(T / dt), seed).values[0]
+        a2 = 2.0 * math.sqrt(kappa) * B[:-1].sum() * dt
+        z = np.array([100j, 200j])
+        g = loewner_flow(kappa, z, T, dt, seed).final_g
+        remainder = z * (g - z) - 2.0 * T - a2 / z
+        assert abs(remainder[0]) <= 1.7e-3
+        assert abs(remainder[1]) <= 4.2e-4
+        # z * remainder ~ a_3 / z halves when |z| doubles
+        ratio = abs(z[0] * remainder[0]) / abs(z[1] * remainder[1])
+        assert abs(ratio - 2.0) <= 0.05
 
 
 class TestSupertraceHull:
