@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import sympy as sp
 
@@ -35,9 +36,11 @@ class Mode:
 
     kind: str
     index: Fraction
+    _hash: int = field(init=False, compare=False)  # Fraction hashing is slow
 
     def __post_init__(self):
         object.__setattr__(self, "index", Fraction(self.index))
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
         if self.kind == "L":
             if self.index.denominator != 1:
                 raise ValueError("L modes carry integer indices")
@@ -46,6 +49,13 @@ class Mode:
                 raise ValueError("G modes carry half-odd-integer indices (NS sector)")
         else:
             raise ValueError(f"unknown mode kind {self.kind!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored, on unpickling: str hashes vary by process
+        return Mode, (self.kind, self.index)
 
     @property
     def odd(self) -> bool:
@@ -59,12 +69,15 @@ class Mode:
         return f"{self.kind}[{self.index}]"
 
 
+_interned = cache(Mode)
+
+
 def L(n) -> Mode:
-    return Mode("L", Fraction(n))
+    return _interned("L", Fraction(n))
 
 
 def G(r) -> Mode:
-    return Mode("G", Fraction(r))
+    return _interned("G", Fraction(r))
 
 
 def word_level(word) -> Fraction:
@@ -99,9 +112,9 @@ class ModuleParams:
             raise ValueError("level cutoff must be a non-negative multiple of 1/2")
 
 
+@cache
 def _bracket_terms(a: Mode, b: Mode, c):
-    """[a, b] (anticommutator if both odd) as [(scalar, Mode-or-None), ...]."""
-    c = sp.sympify(c)
+    """[a, b] (anticommutator if both odd) as ((scalar, Mode-or-None), ...)."""
     out = []
     if a.kind == "L" and b.kind == "L":
         n, m = sp.Rational(a.index), sp.Rational(b.index)
@@ -124,13 +137,15 @@ def _bracket_terms(a: Mode, b: Mode, c):
             central = c / 3 * (r**2 - sp.Rational(1, 4))
             if central != 0:
                 out.append((central, None))
-    return [(sp.expand(s), m) for s, m in out if sp.expand(s) != 0 or m is None]
+    out = [(sp.expand(s), m) for s, m in out]
+    return tuple((s, m) for s, m in out if s != 0 or m is None)
 
 
 def bracket(a: Mode, b: Mode, c) -> "AlgebraElement":
     """The (anti)commutator of two modes, central term included."""
     terms = {}
-    for scalar, mode in _bracket_terms(a, b, c):
+    # sympified first: 1 and 1.0 are one cache key but distinct central charges
+    for scalar, mode in _bracket_terms(a, b, sp.sympify(c)):
         word = () if mode is None else (mode,)
         terms[word] = terms.get(word, 0) + scalar
     return AlgebraElement({w: GrassmannNumber.scalar(s) for w, s in terms.items()})
@@ -296,7 +311,7 @@ class VermaModule:
             if word_level((m,) + mono) <= self.params.level_cutoff:
                 out[(m,) + mono] = sp.S.One
         elif not mono:
-            if m == L(0):
+            if m.kind == "L" and m.index == 0:
                 out[()] = delta
             # annihilators (L_n n>=1, G_r r>=1/2) give zero
         elif m == mono[0] and m.odd:
@@ -451,7 +466,8 @@ def params_from_kappa_ns(kappa, level_cutoff=Fraction(7, 2)) -> ModuleParams:
 # -- quotient by the singular submodule ---------------------------------------
 
 
-def pbw_words(max_level: Fraction):
+@cache
+def pbw_words(max_level: Fraction) -> tuple:
     """All PBW-ordered lowering words of level <= max_level (empty included)."""
     max_level = Fraction(max_level)
     l_parts = []
@@ -490,8 +506,7 @@ def pbw_words(max_level: Fraction):
         gen_g(top, r0, [])
         for gs in g_sets:
             words.append(tuple(L(-n) for n in lp) + tuple(G(-r) for r in gs))
-    words.sort(key=lambda w: (word_level(w), len(w), _word_str(w)))
-    return words
+    return tuple(sorted(words, key=lambda w: (word_level(w), len(w), _word_str(w))))
 
 
 class Projector:
@@ -545,16 +560,21 @@ def quotient_projection(params: ModuleParams,
     cutoff = Fraction(cutoff)
     work = ModuleParams(params.c, params.delta, cutoff)
     module = VermaModule(work)
-    chi = singular_vector_32(work)
+    chi = [(mono, c.body()) for mono, c in singular_vector_32(work).entries.items()]
     span = []
     for w in pbw_words(cutoff - Fraction(3, 2)):
-        vec = module.apply(AlgebraElement({w: 1}), chi)
-        row = {m: c.body() for m, c in vec.entries.items()}
-        row = {m: sp.expand(s) for m, s in row.items() if sp.expand(s) != 0}
+        row = {}
+        for mono, c in chi:
+            for fin, s in module.act_word(w, mono).items():
+                row[fin] = row.get(fin, 0) + c * s
+        row = {m: s for m, s in ((m, sp.expand(s)) for m, s in row.items()) if s != 0}
         if row:
             span.append(row)
-    # exact Gaussian elimination to reduced row-echelon rows with unit pivots
-    order = pbw_words(cutoff)
+    return Projector(params, _row_echelon(span, pbw_words(cutoff)))
+
+
+def _row_echelon(span, order):
+    """Exact reduced row-echelon form of span rows, unit pivots first in order."""
     pos = {w: i for i, w in enumerate(order)}
     rows = []
     for row in span:
@@ -580,4 +600,4 @@ def quotient_projection(params: ModuleParams,
             new_rows.append((p2, r2))
         rows = new_rows
         rows.append((pivot, row))
-    return Projector(params, rows)
+    return rows

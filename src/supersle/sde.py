@@ -218,6 +218,10 @@ def _coefficient_table(fns, n: int):
     Returns one ([(k, a_k)], [(k, b_k)]) pair per function, in dict order,
     and the lowest and highest exponent over all of them.
     """
+    coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
+    if any(mask >> n for c in coeffs for mask in c.terms):
+        raise ValueError(f"the SDE coefficients have {max(c.n for c in coeffs)} "
+                         f"Grassmann generators but the initial point has only {n}")
     table = [tuple([(k, _gvec(c, n)[None, :]) for k, c in part.items()]
                    for part in (F.a, F.b)) for F in fns]
     exps = [k for F in fns for k in (*F.a, *F.b)]
@@ -864,21 +868,34 @@ def _rasterize_polyline(points: np.ndarray, bounds, shape) -> np.ndarray:
     return occ
 
 
+def _run_ids(free: np.ndarray) -> np.ndarray:
+    """Flat label per cell, shared by the cells of each row run of free cells."""
+    start = free.copy()
+    start[:, 1:] &= ~free[:, :-1]
+    return np.cumsum(start.ravel())
+
+
+def _spread_runs(outside: np.ndarray, free: np.ndarray,
+                 ids: np.ndarray) -> np.ndarray:
+    """The free cells whose row run of free cells meets ``outside``."""
+    hit = np.zeros(ids[-1] + 1, dtype=bool)
+    hit[ids[outside.ravel()]] = True
+    return hit[ids].reshape(free.shape) & free
+
+
 def _fill_hull(occ: np.ndarray) -> np.ndarray:
     """Occupied cells plus the free cells not 4-connected to the border.
 
-    The outside grows from a free one-cell frame around the raster by the
-    four one-cell shifts, masked to free cells, until it stops changing.
+    The outside starts as a free one-cell frame around the raster.  Each
+    pass spreads it over every row run, then every column run, of free
+    cells that it meets, until it stops changing.
     """
     free = np.pad(~occ, 1, constant_values=True)
     outside = np.pad(np.zeros_like(occ), 1, constant_values=True)
+    row_ids, col_ids = _run_ids(free), _run_ids(free.T)
     while True:
-        grown = outside.copy()
-        grown[1:] |= outside[:-1]
-        grown[:-1] |= outside[1:]
-        grown[:, 1:] |= outside[:, :-1]
-        grown[:, :-1] |= outside[:, 1:]
-        grown &= free
+        grown = _spread_runs(outside, free, row_ids)
+        grown = _spread_runs(grown.T, free.T, col_ids).T
         if np.array_equal(grown, outside):
             return ~outside[1:-1, 1:-1]
         outside = grown

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import sympy as sp
@@ -27,6 +29,7 @@ from supersle.ns_algebra import (
     singularity_report,
     virasoro_level2_vector,
     word_level,
+    _row_echelon,
 )
 
 CSYM = sp.Symbol("c")
@@ -48,6 +51,26 @@ class TestModes:
     def test_word_level(self):
         assert word_level((L(-2), G(Fraction(-3, 2)))) == Fraction(7, 2)
 
+    def test_interned(self):
+        assert L(-1) is L(-1)
+        assert G(-HALF) is G(Fraction(-1, 2))
+
+    def test_direct_mode_matches_interned(self):
+        m = Mode("G", Fraction(-1, 2))
+        assert m == G(Fraction(-1, 2))
+        assert hash(m) == hash(G(Fraction(-1, 2)))
+        assert hash(m) == hash(("G", Fraction(-1, 2)))
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            L(1).index = Fraction(2)
+
+    def test_unpickled_mode_rehashes(self):
+        m = Mode("L", 1)
+        object.__setattr__(m, "_hash", 0)  # as if hashed in another process
+        back = pickle.loads(pickle.dumps(m))
+        assert back == L(1) and hash(back) == hash(L(1))
+
 
 class TestBracket:
     def test_gg_no_central(self):
@@ -61,6 +84,12 @@ class TestBracket:
     def test_lg(self):
         e = bracket(L(-1), G(HALF), CSYM)
         assert e == AlgebraElement({(G(-HALF),): -1})
+
+    def test_float_central_charge_not_cached_as_exact(self):
+        exact = bracket(L(2), L(-2), 1)
+        approx = bracket(L(2), L(-2), 1.0)
+        assert exact.terms[()].body() == sp.Rational(1, 2)
+        assert isinstance(approx.terms[()].body(), sp.Float)
 
     def test_gg_central(self):
         e = bracket(G(Fraction(3, 2)), G(Fraction(-3, 2)), CSYM)
@@ -280,6 +309,11 @@ class TestParamsFromKappa:
 
 
 class TestPbwWords:
+    def test_cached_tuple(self):
+        words = pbw_words(Fraction(5, 2))
+        assert isinstance(words, tuple)
+        assert pbw_words(Fraction(5, 2)) is words
+
     def test_small_enumeration(self):
         words = pbw_words(Fraction(3, 2))
         expected = {
@@ -342,3 +376,59 @@ class TestQuotient:
         # descendant span up to 7/2 has one independent vector per word level <= 2
         P = quotient_projection(self.params)
         assert len(P.rows) == len(pbw_words(Fraction(2)))
+
+
+def reference_rows(params, cutoff):
+    """Projector rows from the Grassmann-coefficient route: each descendant
+    w chi built by VermaModule.apply, its bodies taken, then eliminated."""
+    work = ModuleParams(params.c, params.delta, cutoff)
+    module = VermaModule(work)
+    chi = singular_vector_32(work)
+    span = []
+    for w in pbw_words(cutoff - Fraction(3, 2)):
+        vec = module.apply(AlgebraElement({w: 1}), chi)
+        row = {m: sp.expand(c.body()) for m, c in vec.entries.items()}
+        row = {m: s for m, s in row.items() if s != 0}
+        if row:
+            span.append(row)
+    return _row_echelon(span, pbw_words(cutoff))
+
+
+def ordered(rows):
+    return [(pivot, list(row.items())) for pivot, row in rows]
+
+
+@pytest.mark.parametrize("kappa, detuned", [
+    (sp.Rational(1, 3), False), (1, False), (2, False),
+    (sp.Rational(8, 3), False), (2, True)],
+    ids=["1/3", "1", "2", "8/3", "2-detuned"])
+def test_scalar_projection_matches_grassmann_route(kappa, detuned, monkeypatch):
+    params = params_from_kappa_ns(kappa)
+    if detuned:
+        params = ModuleParams(params.c, params.delta + sp.Rational(1, 2))
+    cutoff = Fraction(11, 2)
+
+    def refuse(*args):
+        raise AssertionError("quotient_projection went through apply")
+
+    with monkeypatch.context() as m:
+        m.setattr(VermaModule, "apply", refuse)
+        got = quotient_projection(params, cutoff, check_singular=not detuned)
+    want = reference_rows(params, cutoff)
+    assert want and ordered(got.rows) == ordered(want)
+
+
+def test_repeat_projection_hashes_few_fractions(monkeypatch):
+    quotient_projection(params_from_kappa_ns(1), Fraction(13, 2))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__hash__", counted)
+        quotient_projection(params_from_kappa_ns(sp.Rational(8, 3)),
+                            Fraction(13, 2))
+    assert len(calls) <= 200

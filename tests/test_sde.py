@@ -227,6 +227,11 @@ class TestEulerMaruyama:
         with pytest.raises(SwallowedPoint):
             euler_maruyama(sde_system(spec_32(1.0, FLOAT)), init, path)
 
+    def test_init_with_too_few_generators(self):
+        path = BrownianPath.sample(1, 1e-3, 10, 2)
+        with pytest.raises(ValueError, match="have 4 .* only 2"):
+            euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32alt(), path)
+
     def test_initial_condition(self):
         path = BrownianPath.sample(1, 1e-3, 10, 2)
         out = euler_maruyama(sde_system(spec_32(1.0, FLOAT)), init_32(), path)
@@ -325,6 +330,16 @@ class TestConvergence:
                                    [1e-2, 1e-3], 5, 1)
         assert all(e == 0.0 for e in rep["mean_error"])
         assert rep["exact_scheme"]
+
+    def test_init_with_too_few_generators(self):
+        from supersle.sde import pathwise_convergence
+
+        def cf(z0, th0, bp):
+            return z0, th0
+
+        with pytest.raises(ValueError, match="have 4 .* only 2"):
+            pathwise_convergence(sde_system(spec_32(2.0, FLOAT)), cf,
+                                 init_32alt(), 0.1, [1e-2, 1e-3], 2, 1)
 
     def test_32_exact_scheme(self):
         rep = convergence_32(2.0, init_32(), 0.2, [1e-2, 1e-3], 10, 3)
@@ -544,6 +559,54 @@ class TestSupertraceHull:
         occ = self.raster("#.##..#.")
         assert np.array_equal(_fill_hull(occ), occ)
         assert np.array_equal(_fill_hull(occ.T), occ.T)
+
+    @staticmethod
+    def one_cell_flood(occ):
+        """Reference fill: the outside grows one cell per pass."""
+        free = np.pad(~occ, 1, constant_values=True)
+        outside = np.pad(np.zeros_like(occ), 1, constant_values=True)
+        while True:
+            grown = outside.copy()
+            grown[1:] |= outside[:-1]
+            grown[:-1] |= outside[1:]
+            grown[:, 1:] |= outside[:, :-1]
+            grown[:, :-1] |= outside[:, 1:]
+            grown &= free
+            if np.array_equal(grown, outside):
+                return ~outside[1:-1, 1:-1]
+            outside = grown
+
+    @staticmethod
+    def spiral(n):
+        """Square spiral wall whose one-cell corridor enters at (1, 0)."""
+        occ = np.zeros((n, n), dtype=bool)
+        r = c = 0
+        occ[0, 0] = True
+        lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in "ab"]
+        for i, length in enumerate(lengths):
+            dr, dc = [(0, 1), (1, 0), (0, -1), (-1, 0)][i % 4]
+            for _ in range(length):
+                r, c = r + dr, c + dc
+                occ[r, c] = True
+        return occ
+
+    @pytest.mark.parametrize("n", [9, 10, 31])
+    def test_fill_spiral_matches_one_cell_flood(self, n):
+        occ = self.spiral(n)
+        closed = occ.copy()
+        closed[1, 0] = True
+        assert not self.one_cell_flood(occ)[1:-1, 1:-1].all()
+        assert self.one_cell_flood(closed).all()
+        for raster in (occ, closed, occ.T, closed[::-1]):
+            assert np.array_equal(_fill_hull(raster),
+                                  self.one_cell_flood(raster))
+
+    def test_fill_random_matches_one_cell_flood(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            ny, nx = rng.integers(1, 40, size=2)
+            occ = rng.random((ny, nx)) < rng.uniform(0.1, 0.9)
+            assert np.array_equal(_fill_hull(occ), self.one_cell_flood(occ))
 
     def test_fill_matches_label_fill(self):
         ndimage = pytest.importorskip("scipy.ndimage")
