@@ -10,8 +10,9 @@ trace       supertrace hulls and Loewner-flow rasters
 Exit codes (a non-zero exit prints exactly one line on stderr):
 0  success / expectation met;
 1  'FAIL ...': a mathematical check failed: a verify check, an unmet
-   --expect-*, walk modes above the --cutoff level, or a non-finite sde
-   Euler path (then nothing is written);
+   --expect-*, walk modes above the --cutoff level, a non-finite sde
+   Euler path or a non-finite martingale statistic (then nothing is
+   written);
 2  'error: ...': usage, parse or file error, or input the numerics refuse
    (swallowed point, vanishing denominator, non-invertible initial point,
    parity error).
@@ -222,8 +223,7 @@ def cmd_sde(args) -> int:
     path = sde_mod.BrownianPath.sample(spec.brownian_dim, args.dt, steps,
                                        seed)
     with np.errstate(all="ignore"):  # non-finite states are reported below
-        out = sde_mod.euler_maruyama(sde_system(spec), init, path,
-                                     on_swallow="truncate")
+        out = sde_mod.euler_maruyama(sde_system(spec), init, path)
     if not (np.isfinite(out.Z).all() and np.isfinite(out.TH).all()):
         print("FAIL sde: non-finite state on the Euler path", file=sys.stderr)
         return 1
@@ -254,8 +254,19 @@ def cmd_martingale(args) -> int:
     sde_mod.walk_elements(spec, cutoff)  # exit 1 comes before the paths check
     if paths < 2:
         raise UsageError("martingale needs --paths >= 2 for a standard error")
-    rep = sde_mod.mc_martingale(spec, params, cutoff=cutoff, n_paths=paths,
-                                T=args.T, dt=args.dt, seed=seed)
+    with np.errstate(all="ignore"):  # non-finite statistics are reported below
+        rep = sde_mod.mc_martingale(spec, params, cutoff=cutoff,
+                                    n_paths=paths, T=args.T, dt=args.dt,
+                                    seed=seed)
+    # z is inf for a non-zero drift with zero standard error; the measured
+    # statistics themselves must be finite
+    stats = [e[k] for e in rep["entries"] for k in
+             ("terminal_re", "terminal_im", "drift_re", "drift_im", "se_re",
+              "se_im")]
+    if not np.isfinite(stats).all():
+        print("FAIL martingale: non-finite statistic in the report",
+              file=sys.stderr)
+        return 1
     config = _config_dict(args, {"seed": seed})
     sde_mod.write_json_report(rep, args.out or sys.stdout, config=config)
     verdict = ("martingale" if args.expect_martingale else
@@ -311,8 +322,7 @@ def cmd_trace(args) -> int:
         z_grid = xs[None, :] + 1j * ys[:, None]
         res = sde_mod.loewner_flow(float(kappa), z_grid, args.T, args.dt,
                                    seed)
-        raster = sde_mod.HullRaster(bounds=bounds, occupancy=res.swallowed,
-                                    horizon=args.T)
+        raster = sde_mod.HullRaster(bounds=bounds, occupancy=res.swallowed)
         suffix, rows = "_points.csv", [
             "re,im,swallowed_time,final_g_re,final_g_im"]
         for z, t, g in zip(z_grid.ravel(), res.swallowed_time.ravel(),

@@ -5,7 +5,8 @@ the 2^n monomial masks, so Euler--Maruyama stepping, closed-form evaluation
 and Monte-Carlo averaging are plain numpy array operations.  Products of
 such vectors go through one sparse Koszul pair table per n, the float
 counterpart of ``GrassmannNumber.__mul__``; the Monte-Carlo operator
-evolution normal-orders its words with ``ns_algebra.VermaModule``.  The
+evolution takes its coefficient products from the same table and
+normal-orders its words with ``ns_algebra.VermaModule``.  The
 module also provides the classical Loewner flow and rasterized hulls of the
 scaled complex Brownian trace.
 """
@@ -79,7 +80,6 @@ class BrownianPath:
 
     dt: float
     increments: np.ndarray  # shape (dim, steps)
-    seed: object = None
 
     @property
     def dim(self) -> int:
@@ -105,14 +105,14 @@ class BrownianPath:
         rng = np.random.default_rng(seed)
         # draw step-major so a longer horizon extends a shorter one in place
         inc = rng.normal(0.0, math.sqrt(dt), size=(steps, dim)).T.copy()
-        return cls(dt=dt, increments=inc, seed=seed)
+        return cls(dt=dt, increments=inc)
 
     def coarsen(self, k: int) -> "BrownianPath":
         """Same underlying path on a grid coarser by the integer factor k."""
         if k < 1 or self.steps % k:
             raise ValueError("coarsening factor must divide the step count")
         inc = self.increments.reshape(self.dim, self.steps // k, k).sum(axis=2)
-        return BrownianPath(dt=self.dt * k, increments=inc, seed=self.seed)
+        return BrownianPath(dt=self.dt * k, increments=inc)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,6 @@ class SuperPath:
     times: np.ndarray
     Z: np.ndarray
     TH: np.ndarray
-    driving: BrownianPath
     swallowed_time: float | None = None
 
     @property
@@ -304,28 +303,22 @@ def _point_vectors(init: SuperPoint, n: int):
     return _gvec(init.z, n), _gvec(init.theta, n)
 
 
-def euler_maruyama(system: SdeSystem, init: SuperPoint, path: BrownianPath,
-                   on_swallow: str = "raise") -> SuperPath:
+def euler_maruyama(system: SdeSystem, init: SuperPoint,
+                   path: BrownianPath) -> SuperPath:
     """Explicit Euler integration of dX = X_0' dt + sum_i X_i' dB_i.
 
-    ``on_swallow`` is "raise" (default) or "truncate"; the latter returns
-    the path up to the swallowing step with ``swallowed_time`` set.
+    A path whose body of z is swallowed ends at the swallowing step, with
+    ``swallowed_time`` set.
     """
-    if on_swallow not in ("raise", "truncate"):
-        raise ValueError("on_swallow must be 'raise' or 'truncate'")
     z0, th0 = _point_vectors(init, max(init.z.n, init.theta.n))
     inc = path.increments.T[None, :, :]  # (1, steps, dim)
     Z, TH, swallowed = _em_core(system, z0[None, :], th0[None, :],
                                 inc, path.dt)
     if swallowed[0] <= path.steps:
-        t_hit = swallowed[0] * path.dt
-        if on_swallow == "raise":
-            raise SwallowedPoint(t_hit)
         k = int(swallowed[0])
         return SuperPath(times=path.times[:k + 1], Z=Z[0, :k + 1],
-                         TH=TH[0, :k + 1], driving=path,
-                         swallowed_time=float(t_hit))
-    return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
+                         TH=TH[0, :k + 1], swallowed_time=float(k * path.dt))
+    return SuperPath(times=path.times, Z=Z[0], TH=TH[0])
 
 
 # -- closed-form solutions --------------------------------------------------------
@@ -363,37 +356,53 @@ def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
         raise NotInvertible("initial z must have non-zero body")
     B = path.values[0][None, :]
     Z, TH = _cf32_core(z0, th0, float(kappa), path.times, B)
-    return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
+    return SuperPath(times=path.times, Z=Z[0], TH=TH[0])
 
 
-def _cf32alt_core(z0: np.ndarray, th0: np.ndarray, kappa: float, dt: float,
-                  B1: np.ndarray, B2: np.ndarray):
-    """Batched closed form of the two-Brownian evolution (y = 1).
+def _inverse_body_powers(z0: np.ndarray, kappa: float, B1: np.ndarray,
+                         B2: np.ndarray):
+    """Series terms of the inverse of z0 - sqrt(kappa) B+ along the path.
 
-    B1, B2 have shape (paths, steps+1).  The time integral of
-    1/(z - sqrt(kappa) B^+) is a left-endpoint Riemann sum on the same grid.
+    Its soul is the constant soul s of z0, so the inverse is
+    sum_k (-s)^k P_k with P_k = (body - sqrt(kappa) B+)^-(k+1).  Returns the
+    non-zero (-s)^k and the matching P_k, shape (terms,) + B1.shape.
     """
-    sk = math.sqrt(kappa)
-    eta = np.zeros(z0.shape[-1], dtype=complex)
-    eta[1] = 1.0
-    bplus = B1 + 1j * B2
-    den = np.repeat(z0[None, None, :], B1.shape[1], axis=1).astype(complex)
-    den = np.broadcast_to(den, B1.shape + z0.shape).copy()
-    den[..., 0] -= sk * bplus
-    if np.min(np.abs(den[..., 0])) < _SWALLOW_EPS:
+    body = z0[0] - math.sqrt(kappa) * (B1 + 1j * B2)
+    if np.min(np.abs(body)) < _SWALLOW_EPS:
         raise DenominatorVanishes(
             "complex part of z - sqrt(kappa) B+ fell below epsilon")
-    integrand = _binv(den)
-    I = np.zeros_like(integrand)
-    np.cumsum(dt * integrand[:, :-1], axis=1, out=I[:, 1:])
-    shift = I.copy()
+    minus_soul = -z0
+    minus_soul[0] = 0.0
+    powers, P = [], []
+    power = np.zeros_like(z0)
+    power[0] = 1.0
+    for k in range(z0.shape[-1].bit_length()):
+        powers.append(power)
+        P.append(body ** (-(k + 1)))
+        power = _bmul(power, minus_soul)
+        if not power.any():
+            break
+    return powers, np.array(P)
+
+
+def _cf32alt_state(z0: np.ndarray, th0: np.ndarray, kappa: float,
+                   B1, B2, powers, J):
+    """(Z, TH) of the two-Brownian closed form (y = 1) at the driving values.
+
+    ``J[k]`` is the time integral of P_k up to the time of each driving
+    value, so sum_k (-s)^k J_k integrates 1/(z - sqrt(kappa) B+).
+    """
+    sk = math.sqrt(kappa)
+    shift = np.zeros(np.shape(B1) + z0.shape, dtype=complex)
+    for power, Jk in zip(powers, J):
+        shift = shift + power * Jk[..., None]
     shift[..., 0] -= sk * B1
-    th_eta = _bmul(th0, eta)
-    Z = np.broadcast_to(z0[None, None, :], shift.shape).copy()
-    Z[..., 0] -= sk * bplus
-    Z = Z + _bmul(th_eta[None, None, :], shift)
-    TH = np.broadcast_to(th0[None, None, :], shift.shape).copy()
-    TH = TH + _bmul(eta[None, None, :], shift)
+    eta = np.zeros_like(z0)
+    eta[1] = 1.0
+    Z = np.broadcast_to(z0, shift.shape).copy()
+    Z[..., 0] -= sk * (B1 + 1j * B2)
+    Z = Z + _bmul(_bmul(th0, eta), shift)
+    TH = th0 + _bmul(eta, shift)
     return Z, TH
 
 
@@ -403,10 +412,13 @@ def closed_form_32alt(init: SuperPoint, path: BrownianPath,
     if path.dim != 2:
         raise ValueError("two Brownian components required")
     z0, th0 = _point_vectors(init, 2)
-    values = path.values
-    Z, TH = _cf32alt_core(z0, th0, float(kappa), path.dt,
-                          values[0][None, :], values[1][None, :])
-    return SuperPath(times=path.times, Z=Z[0], TH=TH[0], driving=path)
+    B1, B2 = path.values
+    powers, P = _inverse_body_powers(z0, float(kappa), B1, B2)
+    # left-endpoint Riemann sums on the path's own grid
+    J = np.zeros_like(P)
+    np.cumsum(path.dt * P[:, :-1], axis=1, out=J[:, 1:])
+    Z, TH = _cf32alt_state(z0, th0, float(kappa), B1, B2, powers, J)
+    return SuperPath(times=path.times, Z=Z, TH=TH)
 
 
 # -- closed forms as superconformal maps ------------------------------------------
@@ -496,42 +508,6 @@ _ERROR_FLOOR = 1e-12
 _REFINE = 10
 
 
-def _cf32alt_terminal(z0: np.ndarray, th0: np.ndarray, kappa: float,
-                      dt: float, B1: np.ndarray, B2: np.ndarray):
-    """Terminal state of the two-Brownian closed form (single path).
-
-    Only the left-endpoint Riemann sum of the integrand is accumulated, so
-    very fine reference grids stay cheap in memory.
-    """
-    sk = math.sqrt(kappa)
-    bplus = B1 + 1j * B2
-    body = z0[0] - sk * bplus
-    if np.min(np.abs(body)) < _SWALLOW_EPS:
-        raise DenominatorVanishes(
-            "complex part of z - sqrt(kappa) B+ fell below epsilon")
-    soul = z0.copy()
-    soul[0] = 0.0
-    I = np.zeros_like(z0)
-    power = np.zeros_like(z0)
-    power[0] = 1.0
-    sign = 1.0
-    for k in range(z0.shape[-1].bit_length()):
-        I = I + power * (sign * dt * np.sum(body[:-1] ** (-(k + 1))))
-        power = _bmul(power, soul)
-        if not power.any():
-            break
-        sign = -sign
-    eta = np.zeros_like(z0)
-    eta[1] = 1.0
-    shift = I.copy()
-    shift[0] -= sk * B1[-1]
-    zT = z0.copy()
-    zT[0] -= sk * bplus[-1]
-    zT = zT + _bmul(_bmul(th0, eta), shift)
-    thT = th0 + _bmul(eta, shift)
-    return zT, thT
-
-
 def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
                          T: float, dt_list, n_paths: int, seed) -> dict:
     """Strong-error table of explicit Euler against a closed-form solution.
@@ -605,9 +581,11 @@ def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
     system = sde_system(spec_32alt(kappa, FLOAT))
 
     def cf(z0, th0, bp):
-        values = bp.values
-        return _cf32alt_terminal(z0, th0, float(kappa), bp.dt,
-                                 values[0], values[1])
+        B1, B2 = bp.values
+        powers, P = _inverse_body_powers(z0, float(kappa), B1, B2)
+        J = bp.dt * np.sum(P[:, :-1], axis=1)
+        return _cf32alt_state(z0, th0, float(kappa), B1[-1], B2[-1], powers,
+                              J)
 
     return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed)
 
@@ -644,37 +622,30 @@ def _right_multiplication_matrix(element, words, masks,
                                  module: VermaModule):
     """Matrix of O -> O*E on the (word x mask) coefficient basis.
 
-    Products of lowering words are normal-ordered by acting on the highest
-    weight vector of ``module``; no central term or weight enters, so the
-    module's (c, Delta) do not matter.
+    Each term u c psi_mu of E contributes kron(Pi^|mu| W_u, C): W_u is right
+    multiplication of the words by u, Pi flips the sign of odd words (psi_mu
+    moves past them) and C is right multiplication of the coefficients by
+    c psi_mu, taken from the pair table on the mask closure.  Products of
+    lowering words are normal-ordered by acting on the highest weight vector
+    of ``module``; no central term or weight enters, so the module's
+    (c, Delta) do not matter.
     """
     cutoff = module.params.level_cutoff
     widx = {w: i for i, w in enumerate(words)}
-    midx = {m: i for i, m in enumerate(masks)}
-    nm = len(masks)
-    D = len(words) * nm
+    flip = np.array([-1.0 if word_parity(w) else 1.0 for w in words])
+    eye = np.eye(1 << max(masks).bit_length(), dtype=complex)
+    closure = np.ix_(masks, masks)
+    D = len(words) * len(masks)
     R = np.zeros((D, D), dtype=complex)
     for u, mtable in element:
-        struct = {}
+        W = np.zeros((len(words), len(words)))
         for w in words:
-            if word_level(w) + word_level(u) > cutoff:
-                continue
-            struct[w] = module.act_word(w + u, ())
+            if word_level(w) + word_level(u) <= cutoff:
+                for w2, c in module.act_word(w + u, ()).items():
+                    W[widx[w], widx[w2]] = float(c)
         for mu, cval in mtable.items():
-            p_mu = bin(mu).count("1") & 1
-            for w, targets in struct.items():
-                sgn_word = -1 if (p_mu and word_parity(w)) else 1
-                for m in masks:
-                    if m & mu:
-                        continue
-                    tgt_mask = m | mu
-                    if tgt_mask not in midx:
-                        continue
-                    sgn = sgn_word * _merge_sign(m, mu)
-                    row = widx[w] * nm + midx[m]
-                    for w2, c in targets.items():
-                        col = widx[w2] * nm + midx[tgt_mask]
-                        R[row, col] += sgn * cval * float(c)
+            Wmu = flip[:, None] * W if bin(mu).count("1") & 1 else W
+            R += np.kron(Wmu, _bmul(eye, cval * eye[mu])[closure])
     return R
 
 
@@ -795,7 +766,6 @@ class HullRaster:
 
     bounds: tuple       # (xmin, xmax, ymin, ymax)
     occupancy: np.ndarray  # shape (ny, nx)
-    horizon: float
 
     def cell_of(self, point: complex):
         xmin, xmax, ymin, ymax = self.bounds
@@ -812,9 +782,6 @@ class LoewnerResult:
     z_grid: np.ndarray
     swallowed_time: np.ndarray  # nan where the point survived
     final_g: np.ndarray         # nan where swallowed
-    epsilon: float
-    kappa: float
-    seed: object
 
     @property
     def swallowed(self) -> np.ndarray:
@@ -846,8 +813,7 @@ def loewner_flow(kappa, z_grid, T: float, dt: float, seed) -> LoewnerResult:
     final[np.isfinite(swallowed_time)] = np.nan
     return LoewnerResult(z_grid=z_grid,
                          swallowed_time=swallowed_time.reshape(z_grid.shape),
-                         final_g=final.reshape(z_grid.shape),
-                         epsilon=eps, kappa=float(kappa), seed=seed)
+                         final_g=final.reshape(z_grid.shape))
 
 
 def _rasterize_polyline(points: np.ndarray, bounds, shape) -> np.ndarray:
@@ -922,7 +888,7 @@ def supertrace_hull(kappa, T: float, dt: float, seed, grid: int,
                   float(trace.imag.max() + margin))
     occ = _rasterize_polyline(trace, bounds, (grid, grid))
     hull = _fill_hull(occ)
-    return HullRaster(bounds=bounds, occupancy=hull, horizon=T), trace
+    return HullRaster(bounds=bounds, occupancy=hull), trace
 
 
 # -- file output --------------------------------------------------------------------

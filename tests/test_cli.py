@@ -191,6 +191,11 @@ def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
         "y": "{__import__('os').system('touch marker')}*p0p1"}}]},
        ["--T", "0.01", "--dt", "1e-2", "--paths", "2"], 2)
       for command in ("sde", "martingale")),
+    # the operator evolution overflows: no JSON of NaN and inf statistics
+    ("martingale", {"n": 4, "b": 1,
+                    "alpha0": {"-2": {"eta": "-1e200*p0p1p2"}},
+                    "beta": [{"-1": {"y": "1e200*p0p1", "eta": "1e200*p2"}}]},
+     ["--paths", "10", "--T", "0.01"], 1),
 ])
 def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
                                  walk, argv, expected):
@@ -291,6 +296,17 @@ class TestMartingale:
         assert code == 1
         assert err.startswith("FAIL") and "max_z=" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_noiseless_drift_has_infinite_z(self, capsys, tmp_path):
+        # every path drifts alike: zero standard error, finite statistics
+        spec = tmp_path / "walk.json"
+        spec.write_text(json.dumps({"n": 4, "b": 1, "beta": [{}], "alpha0": {
+            "-2": {"eta": "1*p0p1p2"}}}))
+        code, out, err = run(capsys, "martingale", "--spec", f"file:{spec}",
+                             "--kappa", "2", "--paths", "5", "--T", "0.01",
+                             "--expect-drift")
+        assert code == 0 and err == ""
+        assert json.loads(out)["report"]["max_z"] == math.inf
 
     def test_paths_zero_usage_error(self, capsys):
         code, _, err = run(capsys, "martingale", "--kappa", "2",

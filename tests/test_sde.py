@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
+from supersle import sde as sde_module
+from supersle.grassmann import (FLOAT, GrassmannNumber, _merge_sign,
+                                make_generator)
 from supersle.ns_algebra import (
     CutoffOverflow,
     ModuleParams,
@@ -14,6 +16,8 @@ from supersle.ns_algebra import (
     params_from_kappa_ns,
     pbw_words,
     quotient_projection,
+    word_level,
+    word_parity,
 )
 from supersle.superfield import (
     LaurentSuperfunction,
@@ -36,6 +40,7 @@ from supersle.sde import (
     loewner_flow,
     mc_martingale,
     supertrace_hull,
+    walk_elements,
     write_json_report,
     write_pgm,
     write_superpath_csv,
@@ -55,6 +60,7 @@ from supersle.walk import (
     sde_system,
     spec_32,
     spec_32alt,
+    standard_spec,
 )
 
 
@@ -66,6 +72,61 @@ def init_32(z=2.0):
 def init_32alt(z=2.0):
     return SuperPoint(GrassmannNumber.scalar(z, 2, FLOAT),
                       make_generator(1, 2, FLOAT))
+
+
+def init_soul_32alt(z=2.0):
+    p0p1 = make_generator(0, 2, FLOAT) * make_generator(1, 2, FLOAT)
+    return SuperPoint(GrassmannNumber.scalar(z, 2, FLOAT) + p0p1 * 0.7,
+                      make_generator(1, 2, FLOAT))
+
+
+def closed_form_32alt_binv(z0, th0, path, kappa):
+    """Reference two-Brownian closed form: the Neumann inverse of
+    z0 - sqrt(kappa) B+ at every time step, summed by the left-endpoint
+    rule."""
+    sk = math.sqrt(kappa)
+    B1, B2 = path.values
+    den = np.tile(z0, (path.steps + 1, 1))
+    den[:, 0] -= sk * (B1 + 1j * B2)
+    I = np.zeros_like(den)
+    np.cumsum(path.dt * _binv(den)[:-1], axis=0, out=I[1:])
+    I[:, 0] -= sk * B1
+    eta = np.zeros_like(z0)
+    eta[1] = 1.0
+    return den + _bmul(_bmul(th0, eta), I), th0 + _bmul(eta, I)
+
+
+def convergence_32alt_reference(monkeypatch, kappa):
+    """The terminal closed form that ``convergence_32alt`` compares with."""
+    monkeypatch.setattr(sde_module, "pathwise_convergence",
+                        lambda system, closed_form, *args: closed_form)
+    return convergence_32alt(kappa, init_32alt(), 0.1, [1e-2, 1e-3], 1, 0)
+
+
+def koszul_loop_matrix(element, words, masks, module):
+    """Reference for ``_right_multiplication_matrix``: one entry at a time,
+    with the Koszul sign of each coefficient mask product."""
+    cutoff = module.params.level_cutoff
+    widx = {w: i for i, w in enumerate(words)}
+    midx = {m: i for i, m in enumerate(masks)}
+    nm = len(masks)
+    R = np.zeros((len(words) * nm,) * 2, dtype=complex)
+    for u, mtable in element:
+        struct = {w: module.act_word(w + u, ()) for w in words
+                  if word_level(w) + word_level(u) <= cutoff}
+        for mu, cval in mtable.items():
+            p_mu = bin(mu).count("1") & 1
+            for w, targets in struct.items():
+                sgn_word = -1 if (p_mu and word_parity(w)) else 1
+                for m in masks:
+                    if m & mu or (m | mu) not in midx:
+                        continue
+                    sgn = sgn_word * _merge_sign(m, mu)
+                    row = widx[w] * nm + midx[m]
+                    for w2, c in targets.items():
+                        col = widx[w2] * nm + midx[m | mu]
+                        R[row, col] += sgn * cval * float(c)
+    return R
 
 
 def zero_path(dim, dt, steps):
@@ -224,8 +285,11 @@ class TestEulerMaruyama:
         init = SuperPoint(GrassmannNumber.scalar(1e-8, 4, FLOAT),
                           make_generator(3, 4, FLOAT))
         path = BrownianPath.sample(1, 1e-3, 10, 2)
-        with pytest.raises(SwallowedPoint):
-            euler_maruyama(sde_system(spec_32(1.0, FLOAT)), init, path)
+        out = euler_maruyama(sde_system(spec_32(1.0, FLOAT)), init, path)
+        # the body is constant for spec 32, so the path ends at step 0
+        assert out.swallowed_time == 0.0
+        assert out.times.tolist() == [0.0]
+        assert out.z == (init.z,) and out.theta == (init.theta,)
 
     def test_init_with_too_few_generators(self):
         path = BrownianPath.sample(1, 1e-3, 10, 2)
@@ -296,6 +360,40 @@ class TestClosedForm32alt:
         with pytest.raises(DenominatorVanishes):
             closed_form_32alt(init, path, 1.0)
 
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 8 / 3])
+    def test_matches_inverse_per_step(self, kappa):
+        # the p0p1 soul of z0 makes the inverse a two-term series
+        path = BrownianPath.sample(2, 1e-3, 2000, 5)
+        out = closed_form_32alt(init_soul_32alt(), path, kappa)
+        Z, TH = closed_form_32alt_binv(
+            *sde_module._point_vectors(init_soul_32alt(), 2), path, kappa)
+        assert np.max(np.abs(out.Z - Z)) <= 1e-15
+        assert np.max(np.abs(out.TH - TH)) <= 1e-15
+
+    @pytest.mark.parametrize("init", [init_32alt, init_soul_32alt])
+    def test_convergence_reference_is_terminal_row(self, monkeypatch, init):
+        reference = convergence_32alt_reference(monkeypatch, 2.0)
+        path = BrownianPath.sample(2, 1e-4, 1000, 9)
+        zT, thT = reference(*sde_module._point_vectors(init(), 2), path)
+        out = closed_form_32alt(init(), path, 2.0)
+        assert np.max(np.abs(zT - out.Z[-1])) <= 1e-12
+        assert np.max(np.abs(thT - out.TH[-1])) <= 1e-12
+
+    def test_convergence_reference_soul_series(self, monkeypatch):
+        # on two generators theta eta kills the soul of the integral; with
+        # z0 = 2 + 0.7 p2p3 and theta = p1 on four, the p2p3 term is visible
+        z0 = np.zeros(16, dtype=complex)
+        z0[0], z0[0b1100] = 2.0, 0.7
+        th0 = np.zeros(16, dtype=complex)
+        th0[0b0010] = 1.0
+        reference = convergence_32alt_reference(monkeypatch, 2.0)
+        path = BrownianPath.sample(2, 1e-4, 1000, 9)
+        zT, thT = reference(z0, th0, path)
+        Z, TH = closed_form_32alt_binv(z0, th0, path, 2.0)
+        assert abs(zT[0b1111]) > 1e-3
+        assert np.max(np.abs(zT - Z[-1])) <= 1e-12
+        assert np.max(np.abs(thT - TH[-1])) <= 1e-12
+
 
 class TestSuperconformalMaps:
     def test_32_map_exact(self):
@@ -346,6 +444,12 @@ class TestConvergence:
         assert rep["exact_scheme"]
         assert rep["order"] == math.inf
         assert all(e < 1e-12 for e in rep["mean_error"])
+
+    def test_swallowed_path_refused(self):
+        init = SuperPoint(GrassmannNumber.scalar(1e-8, 4, FLOAT),
+                          make_generator(3, 4, FLOAT))
+        with pytest.raises(SwallowedPoint):
+            convergence_32(1.0, init, 0.1, [1e-2, 1e-3], 2, 1)
 
     def test_32alt_order(self):
         rep = convergence_32alt(1.0, init_32alt(), 0.2, [1e-2, 1e-3], 20, 3)
@@ -443,6 +547,20 @@ class TestMcMartingale:
         with pytest.raises(CutoffOverflow):
             mc_martingale(spec_32(2), params_from_kappa_ns(2),
                           cutoff=Fraction(1), n_paths=1, T=0.01, dt=1e-2)
+
+    @pytest.mark.parametrize("name", ["32", "32alt", "virasoro"])
+    @pytest.mark.parametrize("kappa", [sp.Integer(2), sp.Rational(8, 3)])
+    @pytest.mark.parametrize("cutoff", [Fraction(7, 2), Fraction(11, 2)])
+    def test_kronecker_matches_koszul_loop(self, name, kappa, cutoff):
+        params = params_from_kappa_ns(kappa)
+        elements = walk_elements(standard_spec(name, kappa), cutoff)
+        words = pbw_words(cutoff)
+        masks = _reachable_masks(elements)
+        module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
+        for e in elements:
+            R = _right_multiplication_matrix(e, words, masks, module)
+            want = koszul_loop_matrix(e, words, masks, module)
+            assert R.tobytes() == want.tobytes()
 
 
 class TestLoewner:
@@ -642,8 +760,7 @@ class TestWriters:
     def test_pgm(self):
         raster = HullRaster(bounds=(0, 1, 0, 1),
                             occupancy=np.array([[True, False],
-                                                [False, True]]),
-                            horizon=1.0)
+                                                [False, True]]))
         buf = io.StringIO()
         write_pgm(raster, buf, config={"kappa": "2"})
         lines = buf.getvalue().strip().splitlines()
