@@ -3,10 +3,10 @@
 Float-coefficient Grassmann states are held as dense complex vectors over
 the 2^n monomial masks, so Euler--Maruyama stepping, closed-form evaluation
 and Monte-Carlo averaging are plain numpy array operations.  Products of
-such vectors go through one sparse Koszul pair table per n, the float
-counterpart of ``GrassmannNumber.__mul__``; the Monte-Carlo operator
-evolution takes its coefficient products from the same table and
-normal-orders its words with ``ns_algebra.VermaModule``.  The
+two states go through one sparse Koszul pair table per n, the float
+counterpart of ``GrassmannNumber.__mul__``; a constant times a state is a
+signed gather of its rows, and Monte-Carlo transition matrices are built
+from it, with words normal-ordered by ``ns_algebra.VermaModule``.  The
 module also provides the classical Loewner flow and rasterized hulls of the
 scaled complex Brownian trace.
 """
@@ -182,20 +182,17 @@ def _binv(A: np.ndarray) -> np.ndarray:
     body = A[..., 0]
     if np.any(np.abs(body) == 0.0):
         raise NotInvertible("vanishing body in batched inverse")
-    soul = A.copy()
-    soul[..., 0] = 0.0
+    minus_soul = -A
+    minus_soul[..., 0] = 0.0
     out = np.zeros_like(A)
-    power = np.zeros_like(A)
-    power[..., 0] = 1.0
-    bpow = body.copy()
-    sign = 1.0
-    for _ in range(n + 1):
-        out += sign * power / bpow[..., None]
-        power = _bmul(power, soul)
+    out[..., 0] = 1.0 / body
+    power, bpow = minus_soul, body
+    for _ in range(n):
         if not power.any():
             break
-        sign = -sign
         bpow = bpow * body
+        out += power / bpow[..., None]
+        power = _bmul(power, minus_soul)
     return out
 
 
@@ -211,18 +208,44 @@ def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
     return GrassmannNumber(n, FLOAT, terms)
 
 
+def _gather(c: np.ndarray):
+    """Left multiplication by the constant c as (dst, src, c_i sign, starts).
+
+    Keeps, in table order, the pair-table triples (i, k ^ i, sign) with
+    c_i != 0 and the whole group of a k that meets three of them, as numpy
+    sums that group pairwise; the run from starts[g] sums into dst[g].
+    """
+    left, right, signs, starts = _pair_table(c.shape[-1].bit_length() - 1)
+    live = c[left] != 0
+    crowded = np.add.reduceat(live, starts, dtype=int) > 2
+    k = left | right
+    keep = np.flatnonzero(live | crowded[k])
+    dst = k[keep]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    return dst[starts], right[keep], c[left[keep]] * signs[keep], starts
+
+
+def _gather_add(gather, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` += c B for batched B (..., 2^n), c the gather's constant."""
+    dst, src, w, starts = gather
+    out[..., dst] += np.add.reduceat(w * B[..., src], starts, axis=-1)
+    return out
+
+
 def _coefficient_table(fns, n: int):
-    """Mask vectors of the coefficients of Laurent superfunctions ``fns``.
+    """The coefficients of Laurent superfunctions ``fns`` for ``_eval_table``.
 
     Returns one ([(k, a_k)], [(k, b_k)]) pair per function, in dict order,
+    a_k the signed gather of the coefficient (its mask vector for k = 0),
     and the lowest and highest exponent over all of them.
     """
     coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
     if any(mask >> n for c in coeffs for mask in c.terms):
         raise ValueError(f"the SDE coefficients have {max(c.n for c in coeffs)} "
                          f"Grassmann generators but the initial point has only {n}")
-    table = [tuple([(k, _gvec(c, n)[None, :]) for k, c in part.items()]
-                   for part in (F.a, F.b)) for F in fns]
+    table = [tuple([(k, _gather(_gvec(c, n)) if k else _gvec(c, n))
+                    for k, c in part.items()] for part in (F.a, F.b))
+             for F in fns]
     exps = [k for F in fns for k in (*F.a, *F.b)]
     return table, min(exps, default=0), max(exps, default=0)
 
@@ -231,24 +254,25 @@ def _eval_table(table, lo: int, hi: int, Z: np.ndarray,
                 TH: np.ndarray) -> list:
     """Every function of the table at batched points (..., 2^n).
 
-    One z-power ladder, and one inverse when ``lo`` < 0, serve them all.
+    One z-power ladder, and one inverse when ``lo`` < 0, serve them all; a
+    constant times z^k is a gather, so only theta b(z) multiplies two states.
     """
-    pows = {0: np.zeros_like(Z)}
-    pows[0][..., 0] = 1.0
-    for k in range(1, hi + 1):
+    pows = {1: Z}
+    for k in range(2, hi + 1):
         pows[k] = _bmul(pows[k - 1], Z)
     if lo < 0:
-        zinv = _binv(Z)
-        for k in range(-1, lo - 1, -1):
-            pows[k] = _bmul(pows[k + 1], zinv)
+        pows[-1] = _binv(Z)
+        for k in range(-2, lo - 1, -1):
+            pows[k] = _bmul(pows[k + 1], pows[-1])
     out = []
     for a, b in table:
-        val = np.zeros_like(Z)
-        for k, v in a:
-            val = val + _bmul(v, pows[k])
-        bsum = np.zeros_like(Z)
-        for k, v in b:
-            bsum = bsum + _bmul(v, pows[k])
+        val, bsum = np.zeros_like(Z), np.zeros_like(Z)
+        for acc, part in ((val, a), (bsum, b)):
+            for k, coeff in part:
+                if k:
+                    _gather_add(coeff, pows[k], acc)
+                else:
+                    acc += coeff
         if bsum.any():
             val = val + _bmul(TH, bsum)
         out.append(val)
@@ -299,7 +323,9 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     return Z, TH, swallowed
 
 
-def _point_vectors(init: SuperPoint, n: int):
+def _point_vectors(init: SuperPoint, n: int = 0):
+    """z and theta of ``init`` over the masks of at least n generators."""
+    n = max(n, init.z.n, init.theta.n)
     return _gvec(init.z, n), _gvec(init.theta, n)
 
 
@@ -310,7 +336,7 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint,
     A path whose body of z is swallowed ends at the swallowing step, with
     ``swallowed_time`` set.
     """
-    z0, th0 = _point_vectors(init, max(init.z.n, init.theta.n))
+    z0, th0 = _point_vectors(init)
     inc = path.increments.T[None, :, :]  # (1, steps, dim)
     Z, TH, swallowed = _em_core(system, z0[None, :], th0[None, :],
                                 inc, path.dt)
@@ -379,7 +405,7 @@ def _inverse_body_powers(z0: np.ndarray, kappa: float, B1: np.ndarray,
     for k in range(z0.shape[-1].bit_length()):
         powers.append(power)
         P.append(body ** (-(k + 1)))
-        power = _bmul(power, minus_soul)
+        power = _bmul(power, minus_soul) if k else minus_soul
         if not power.any():
             break
     return powers, np.array(P)
@@ -479,14 +505,13 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
     Returns the worst grade-wise deviation of the conserved product and the
     worst drift of the body of w_t from the body of z.
     """
-    n = 4
     sol = closed_form_32(init, path, kappa)
     sk = math.sqrt(float(kappa))
     spec = spec_32(kappa, FLOAT)
-    y = _gvec(spec.beta[0][-1][0], n) / sk
-    eta = _gvec(spec.beta[0][-1][1], n) / sk
+    z0, th0 = _point_vectors(init, 4)
+    y = _gvec(spec.beta[0][-1][0], sol.n) / sk
+    eta = _gvec(spec.beta[0][-1][1], sol.n) / sk
     yeta = _bmul(y, eta)
-    z0, th0 = _point_vectors(init, n)
     B = path.values[0]
     w = sol.Z + (y[None, :] + _bmul(sol.TH, eta[None, :])) \
         * (sk * B[:, None])
@@ -533,7 +558,7 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
             raise ValueError("every dt must be an integer multiple of the "
                              "reference dt and divide the horizon")
     dim = len(system.diffusion)
-    z0, th0 = _point_vectors(init, max(init.z.n, init.theta.n))
+    z0, th0 = _point_vectors(init)
     ref_z = np.empty((n_paths, z0.size), dtype=complex)
     ref_th = np.empty((n_paths, z0.size), dtype=complex)
     dts = sorted(dt_list, reverse=True)

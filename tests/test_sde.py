@@ -49,6 +49,8 @@ from supersle.sde import (
     _eval_table,
     _fill_hull,
     _bmul,
+    _gather,
+    _gather_add,
     _element_data,
     _reachable_masks,
     _right_multiplication_matrix,
@@ -187,6 +189,37 @@ class TestGrassmannKernel:
         one = np.zeros(1 << n)
         one[0] = 1.0
         assert np.max(np.abs(_bmul(_binv(A), A) - one)) < 1e-12
+        assert np.max(np.abs(_bmul(A, _binv(A)) - one)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_gather_matches_bmul(self, n):
+        # a constant whose every value is real or imaginary gives single
+        # products that round the same in any numpy loop, so the gather must
+        # reproduce _bmul bit for bit; a general complex constant may move
+        # the last bit, as numpy's vector and tail loops round a complex
+        # product differently
+        rng = np.random.default_rng(400 + n)
+        for count, batch in [(1, 1), (2, 4), (3, 4), (3, 50)]:
+            c = np.zeros(1 << n, dtype=complex)
+            picked = rng.choice(1 << n, size=min(count, 1 << n), replace=False)
+            c[picked] = rng.normal(size=len(picked)) * rng.choice(
+                [1, -1j], size=len(picked))
+            B = random_elements(rng, n, batch)
+            B[:, rng.random(1 << n) < 0.3] = 0.0  # exact zeros in the state
+            base = random_elements(rng, n, batch)
+            for out, want in ((np.zeros_like(B), _bmul(c, B)),
+                              (base.copy(), base + _bmul(c, B))):
+                got = _gather_add(_gather(c), B, out)
+                assert got is out
+                assert np.array_equal(got, want)
+                nonzero = want.view(float) != 0.0
+                assert np.array_equal(got.view(np.int64)[nonzero],
+                                      want.view(np.int64)[nonzero])
+            c[picked] += rng.normal(size=len(picked)) * 1j
+            got = _gather_add(_gather(c), B, np.zeros_like(B))
+            want = _bmul(c, B)
+            assert np.max(np.abs(got - want)) <= 1e-15 * max(
+                1.0, np.max(np.abs(want)))
 
 
 def random_grassmann(rng, n, masks, count):
@@ -248,6 +281,20 @@ class TestCoefficientTable:
         count = sum(len(F.a) + len(F.b) for F in fns)
         euler_maruyama(system, init_32(), BrownianPath.sample(1, 1e-3, 1000, 1))
         assert 0 < len(calls) <= count + 2
+
+    def test_constant_coefficients_skip_pair_table(self, monkeypatch):
+        # per step: two Neumann powers of the soul of z and two theta b(z)
+        # products; every constant coefficient is a gather
+        import supersle.sde as sde_mod
+
+        calls = []
+        bmul = sde_mod._bmul
+        monkeypatch.setattr(sde_mod, "_bmul",
+                            lambda A, B: calls.append(1) or bmul(A, B))
+        steps = 1000
+        euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
+                       BrownianPath.sample(1, 1e-3, steps, 1))
+        assert len(calls) <= 4 * steps + 10
 
 
 class TestEulerMaruyama:
@@ -328,6 +375,23 @@ class TestClosedForm32:
             assert rep["max_conservation_error"] <= 1e-9
             assert rep["max_body_drift"] <= 1e-9
 
+    def test_five_generators(self):
+        # theta = p3 + p4p3p2 needs a fifth generator beyond the spec's four
+        g = [make_generator(i, 5, FLOAT) for i in range(5)]
+        init = SuperPoint(GrassmannNumber.scalar(2.0, 5, FLOAT),
+                          g[3] + g[4] * g[3] * g[2])
+        path = BrownianPath.sample(1, 1e-3, 1000, 3)
+        cf = closed_form_32(init, path, 2.0)
+        assert cf.Z.shape == cf.TH.shape == (1001, 32)
+        assert grade_dist(cf.theta[0], init.theta) == 0.0
+        # Euler is exact for spec 32, so it reproduces the closed form
+        em = euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init, path)
+        assert np.max(np.abs(em.Z - cf.Z)) <= 1e-12
+        assert np.max(np.abs(em.TH - cf.TH)) <= 1e-12
+        rep = conservation_check_32(init, path, 3.0)
+        assert rep["max_conservation_error"] <= 1e-9
+        assert rep["max_body_drift"] <= 1e-9
+
 
 class TestClosedForm32alt:
     def test_t0_initial(self):
@@ -367,6 +431,19 @@ class TestClosedForm32alt:
         out = closed_form_32alt(init_soul_32alt(), path, kappa)
         Z, TH = closed_form_32alt_binv(
             *sde_module._point_vectors(init_soul_32alt(), 2), path, kappa)
+        assert np.max(np.abs(out.Z - Z)) <= 1e-15
+        assert np.max(np.abs(out.TH - TH)) <= 1e-15
+
+    def test_four_generators(self):
+        g = [make_generator(i, 4, FLOAT) for i in range(4)]
+        init = SuperPoint(GrassmannNumber.scalar(2.0, 4, FLOAT)
+                          + g[2] * g[3] * 0.7, g[1])
+        path = BrownianPath.sample(2, 1e-3, 2000, 5)
+        out = closed_form_32alt(init, path, 2.0)
+        assert out.Z.shape == (2001, 16)
+        Z, TH = closed_form_32alt_binv(*sde_module._point_vectors(init), path,
+                                       2.0)
+        assert abs(out.Z[-1, 0b1111]) > 1e-3
         assert np.max(np.abs(out.Z - Z)) <= 1e-15
         assert np.max(np.abs(out.TH - TH)) <= 1e-15
 
