@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from supersle.grassmann import EXACT, GrassmannNumber, format_grassmann
 
@@ -426,11 +427,17 @@ def singularity_report(params: ModuleParams) -> dict:
     }
 
 
-def virasoro_level2_vector(kappa) -> VermaVector:
-    """(-2 L_{-2} + kappa/2 L_{-1}^2)|Delta> at the matched (c, Delta)."""
+def _exact_kappa(kappa):
+    """kappa as an exact positive rational; ValueError if it is not positive."""
     kappa = sp.nsimplify(sp.sympify(kappa), rational=True)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    return kappa
+
+
+def virasoro_level2_vector(kappa) -> VermaVector:
+    """(-2 L_{-2} + kappa/2 L_{-1}^2)|Delta> at the matched (c, Delta)."""
+    kappa = _exact_kappa(kappa)
     params = params_from_kappa_virasoro(kappa)
     return VermaVector(params, {
         (L(-2),): sp.Integer(-2),
@@ -440,9 +447,7 @@ def virasoro_level2_vector(kappa) -> VermaVector:
 
 def params_from_kappa_virasoro(kappa, level_cutoff=Fraction(7, 2)) -> ModuleParams:
     """c = 1 - 3(4-kappa)^2/(2 kappa), Delta = (6-kappa)/(2 kappa)."""
-    kappa = sp.nsimplify(sp.sympify(kappa), rational=True)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa = _exact_kappa(kappa)
     c = 1 - sp.Rational(3, 2) * (4 - kappa) ** 2 / kappa
     delta = (6 - kappa) / (2 * kappa)
     return ModuleParams(c, delta, level_cutoff)
@@ -455,9 +460,7 @@ def is_singular_level2(v: VermaVector):
 
 def params_from_kappa_ns(kappa, level_cutoff=Fraction(7, 2)) -> ModuleParams:
     """c = 15/2 - 3(kappa + 1/kappa), Delta = (2-kappa)/(2 kappa)."""
-    kappa = sp.nsimplify(sp.sympify(kappa), rational=True)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa = _exact_kappa(kappa)
     c = sp.Rational(15, 2) - 3 * (kappa + 1 / kappa)
     delta = (2 - kappa) / (2 * kappa)
     return ModuleParams(c, delta, level_cutoff)
@@ -470,6 +473,8 @@ def params_from_kappa_ns(kappa, level_cutoff=Fraction(7, 2)) -> ModuleParams:
 def pbw_words(max_level: Fraction) -> tuple:
     """All PBW-ordered lowering words of level <= max_level (empty included)."""
     max_level = Fraction(max_level)
+    if max_level < 0:
+        return ()
     l_parts = []
 
     def gen_l(budget, max_part, acc):
@@ -574,30 +579,12 @@ def quotient_projection(params: ModuleParams,
 
 
 def _row_echelon(span, order):
-    """Exact reduced row-echelon form of span rows, unit pivots first in order."""
+    """Exact reduced row-echelon form of span rows: one (pivot word,
+    {word: scalar}) per unit pivot, both in the column order of ``order``."""
     pos = {w: i for i, w in enumerate(order)}
-    rows = []
-    for row in span:
-        for pivot, prow in rows:
-            if pivot in row:
-                f = row[pivot]
-                for m, s in prow.items():
-                    row[m] = sp.expand(row.get(m, 0) - f * s)
-                row = {m: s for m, s in row.items() if s != 0}
-        if not row:
-            continue
-        pivot = min(row, key=lambda m: pos[m])
-        pv = row[pivot]
-        row = {m: sp.expand(s / pv) for m, s in row.items()}
-        # back-substitute into existing rows
-        new_rows = []
-        for p2, r2 in rows:
-            if pivot in r2:
-                f = r2[pivot]
-                r2 = {m: sp.expand(r2.get(m, 0) - f * row.get(m, 0))
-                      for m in set(r2) | set(row)}
-                r2 = {m: s for m, s in r2.items() if s != 0}
-            new_rows.append((p2, r2))
-        rows = new_rows
-        rows.append((pivot, row))
-    return rows
+    rows = {i: {pos[m]: s for m, s in row.items()} for i, row in enumerate(span)}
+    rref, pivots = DomainMatrix.from_dict_sympy(
+        len(span), len(order), rows).to_field().rref()
+    to_sympy, sdm = rref.domain.to_sympy, rref.to_sparse().rep
+    return [(order[p], {order[j]: to_sympy(s) for j, s in sorted(sdm[i].items())})
+            for i, p in enumerate(pivots)]

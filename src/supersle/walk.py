@@ -46,6 +46,7 @@ from supersle.ns_algebra import (
     ModuleParams,
     VermaModule,
     VermaVector,
+    _exact_kappa,
     params_from_kappa_ns,
     quotient_projection,
     singular_vector_32,
@@ -145,10 +146,7 @@ class SdeSystem:
 
 def _sqrt_kappa(kappa, ring: CoefficientRing):
     if ring.kind == "exact":
-        k = sp.nsimplify(sp.sympify(kappa), rational=True)
-        if k <= 0:
-            raise ValueError("kappa must be positive")
-        return sp.sqrt(k)
+        return sp.sqrt(_exact_kappa(kappa))
     k = float(kappa)
     if k <= 0:
         raise ValueError("kappa must be positive")

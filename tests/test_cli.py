@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +320,18 @@ class TestMartingale:
                            "--cutoff", "1")
         assert code == 1
         assert "cutoff" in err
+
+    @pytest.mark.parametrize("cutoff", ["0", "1/2", "1"])
+    def test_cutoff_below_chi(self, capsys, tmp_path, cutoff):
+        # no descendant of chi fits: the projector is the identity
+        spec = tmp_path / "walk.json"
+        spec.write_text(json.dumps({"n": 0, "b": 1, "alpha0": {},
+                                    "beta": [{"0": {"y": "1"}}]}))
+        code, out, err = run(capsys, "martingale", "--spec", f"file:{spec}",
+                             "--kappa", "2", "--cutoff", cutoff,
+                             "--paths", "4", "--T", "0.01")
+        assert code == 0 and err == ""
+        assert json.loads(out)["report"]["basis_size"] == 2 * Fraction(cutoff) + 1
 
     def test_paths_one_refused_before_stepping(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -336,6 +336,10 @@ class TestPbwWords:
             assert all(ls[i].index <= ls[i + 1].index for i in range(len(ls) - 1))
             assert all(gs[i].index < gs[i + 1].index for i in range(len(gs) - 1))
 
+    def test_negative_level_is_empty(self):
+        # the empty word has level 0, so no word lies below it
+        assert pbw_words(Fraction(-1, 2)) == ()
+
 
 class TestQuotient:
     params = params_from_kappa_ns(1)
@@ -347,6 +351,13 @@ class TestQuotient:
 
     def test_fixes_vacuum(self):
         P = quotient_projection(self.params)
+        v = VermaModule(self.params).vacuum()
+        assert P(v) == v
+
+    def test_cutoff_below_chi_is_identity(self):
+        # chi lies at level 3/2, so nothing is projected out below it
+        P = quotient_projection(self.params, 1)
+        assert P.rows == []
         v = VermaModule(self.params).vacuum()
         assert P(v) == v
 
@@ -378,9 +389,8 @@ class TestQuotient:
         assert len(P.rows) == len(pbw_words(Fraction(2)))
 
 
-def reference_rows(params, cutoff):
-    """Projector rows from the Grassmann-coefficient route: each descendant
-    w chi built by VermaModule.apply, its bodies taken, then eliminated."""
+def descendant_span(params, cutoff):
+    """Bodies of the descendants w chi, each built by VermaModule.apply."""
     work = ModuleParams(params.c, params.delta, cutoff)
     module = VermaModule(work)
     chi = singular_vector_32(work)
@@ -391,7 +401,13 @@ def reference_rows(params, cutoff):
         row = {m: s for m, s in row.items() if s != 0}
         if row:
             span.append(row)
-    return _row_echelon(span, pbw_words(cutoff))
+    return span
+
+
+def reference_rows(params, cutoff):
+    """Projector rows from the Grassmann-coefficient route: each descendant
+    w chi built by VermaModule.apply, its bodies taken, then eliminated."""
+    return _row_echelon(descendant_span(params, cutoff), pbw_words(cutoff))
 
 
 def ordered(rows):
@@ -432,3 +448,66 @@ def test_repeat_projection_hashes_few_fractions(monkeypatch):
         quotient_projection(params_from_kappa_ns(sp.Rational(8, 3)),
                             Fraction(13, 2))
     assert len(calls) <= 200
+
+
+def loop_row_echelon(span, order):
+    """Incremental elimination with back-substitution, kept as a reference."""
+    pos = {w: i for i, w in enumerate(order)}
+    rows = []
+    for row in span:
+        for pivot, prow in rows:
+            if pivot in row:
+                f = row[pivot]
+                for m, s in prow.items():
+                    row[m] = sp.expand(row.get(m, 0) - f * s)
+                row = {m: s for m, s in row.items() if s != 0}
+        if not row:
+            continue
+        pivot = min(row, key=lambda m: pos[m])
+        pv = row[pivot]
+        row = {m: sp.expand(s / pv) for m, s in row.items()}
+        # back-substitute into existing rows
+        new_rows = []
+        for p2, r2 in rows:
+            if pivot in r2:
+                f = r2[pivot]
+                r2 = {m: sp.expand(r2.get(m, 0) - f * row.get(m, 0))
+                      for m in set(r2) | set(row)}
+                r2 = {m: s for m, s in r2.items() if s != 0}
+            new_rows.append((p2, r2))
+        rows = new_rows
+        rows.append((pivot, row))
+    return rows
+
+
+def both_eliminations(params, cutoff):
+    span, order = descendant_span(params, cutoff), pbw_words(cutoff)
+    want = dict(loop_row_echelon([dict(row) for row in span], order))
+    got = _row_echelon(span, order)
+    assert len(got) == len(want)
+    return dict(got), want
+
+
+@pytest.mark.parametrize("kappa, detuned", [
+    (sp.Rational(1, 3), False), (1, False), (2, False),
+    (sp.Rational(8, 3), False), (sp.Rational(7, 4), False), (2, True)],
+    ids=["1/3", "1", "2", "8/3", "7/4", "2-detuned"])
+def test_row_echelon_matches_elimination_loop(kappa, detuned):
+    params = params_from_kappa_ns(kappa)
+    if detuned:
+        params = ModuleParams(params.c, params.delta + sp.Rational(1, 2))
+    got, want = both_eliminations(params, Fraction(13, 2))
+    assert want and got.keys() == want.keys()
+    for pivot, row in got.items():
+        assert row[pivot] == 1
+        assert row == want[pivot], pivot
+
+
+def test_row_echelon_matches_elimination_loop_symbolic():
+    got, want = both_eliminations(ModuleParams(CSYM, sp.Symbol("D")),
+                                  Fraction(9, 2))
+    assert want and got.keys() == want.keys()
+    for pivot, row in got.items():
+        assert row.keys() == want[pivot].keys(), pivot
+        for m, s in row.items():
+            assert sp.cancel(want[pivot][m] - s) == 0, (pivot, m)
