@@ -13,9 +13,9 @@ Exit codes (a non-zero exit prints exactly one line on stderr):
    --expect-*, walk modes above the --cutoff level, a non-finite sde
    Euler path or a non-finite martingale statistic (then nothing is
    written);
-2  'error: ...': usage, parse or file error, or input the numerics refuse
+2  'error: ...': usage, parse or file error, input the numerics refuse
    (swallowed point, vanishing denominator, non-invertible initial point,
-   parity error).
+   parity error), or a run too large to allocate (MemoryError).
 --kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5).  The
 seed falls back to SUPER_SLE_SEED, then 0.  All outputs embed the resolved
 configuration as '# key=value' comment lines (CSV/PGM) or a "config"
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, OSError, NotInvertible, ParityError,
+    except (UsageError, OSError, MemoryError, NotInvertible, ParityError,
             sde_mod.SwallowedPoint, sde_mod.DenominatorVanishes) as exc:
         code, message = 2, f"error: {exc}"
     except CutoffOverflow as exc:

@@ -13,8 +13,6 @@ Two coefficient rings are supported:
   values) are handled exactly as well.  Zero tests are exact.
 * ``FLOAT`` -- complex float64, for Monte-Carlo work.  Zero tests are
   exact comparisons with 0.
-
-Conversion goes exact -> float only.
 """
 from __future__ import annotations
 
@@ -194,9 +192,6 @@ class GrassmannNumber:
         return GrassmannNumber(self.n, self.ring,
                                {m: c for m, c in self.terms.items() if m})
 
-    def body_soul_split(self):
-        return self.body(), self.soul()
-
     def parity(self) -> str:
         has_even = any(m.bit_count() % 2 == 0 for m in self.terms)
         has_odd = any(m.bit_count() % 2 == 1 for m in self.terms)
@@ -224,7 +219,7 @@ class GrassmannNumber:
             return 0.0
         return max(abs(complex(c)) for c in self.terms.values())
 
-    # -- inverse and derivative -------------------------------------------
+    # -- inverse ----------------------------------------------------------
 
     def inverse(self) -> "GrassmannNumber":
         b = self.body()
@@ -245,34 +240,6 @@ class GrassmannNumber:
             out = out + power
         return out * binv
 
-    def derive(self, index: int) -> "GrassmannNumber":
-        """Left derivative with respect to generator ``index``."""
-        if index >= self.n:
-            return GrassmannNumber.zero(self.n, self.ring)
-        bit = 1 << index
-        terms = {}
-        for m, c in self.terms.items():
-            if not m & bit:
-                continue
-            below = (m & (bit - 1)).bit_count()
-            sign = -1 if below % 2 else 1
-            terms[m ^ bit] = terms.get(m ^ bit, 0) + sign * c
-        return GrassmannNumber(self.n, self.ring, terms)
-
-    # -- conversion -------------------------------------------------------
-
-    def to_float(self, subs=None, ring: CoefficientRing = FLOAT) -> "GrassmannNumber":
-        """Exact -> complex float64 conversion; ``subs`` maps free symbols."""
-        if self.ring.kind == "float":
-            return self
-        terms = {}
-        for m, c in self.terms.items():
-            expr = sp.sympify(c)
-            if subs:
-                expr = expr.subs(subs)
-            terms[m] = complex(expr.evalf())
-        return GrassmannNumber(self.n, ring, terms)
-
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
@@ -290,15 +257,6 @@ class GrassmannNumber:
                 if sp.expand(c - other.terms[m]) != 0:
                     return False
             elif c != other.terms[m]:
-                return False
-        return True
-
-    def isclose(self, other: "GrassmannNumber", tol: float = 1e-12) -> bool:
-        masks = set(self.terms) | set(other.terms)
-        for m in masks:
-            a = complex(self.terms.get(m, 0))
-            b = complex(other.terms.get(m, 0))
-            if abs(a - b) > tol:
                 return False
         return True
 

@@ -1,0 +1,105 @@
+"""Float Grassmann kernel over dense mask vectors.
+
+A float-coefficient Grassmann number on n generators is held as a complex
+vector over the 2^n monomial masks; a batch of them is an array of shape
+(..., 2^n).  Products of two batches go through one sparse Koszul pair
+table per n, the float counterpart of ``GrassmannNumber.__mul__``; a
+constant times a batch is a signed gather of its rows.  Euler stepping, the
+closed forms and the Monte-Carlo transition matrices in ``supersle.sde`` all
+work in this format.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+
+import numpy as np
+
+from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, _merge_sign
+
+
+@cache
+def _pair_table(n: int):
+    """Koszul pair table of the Grassmann algebra on n generators.
+
+    Lists the 3^n triples (i, j, sign) with psi_i psi_j = sign psi_k, i a
+    submask of k and j = k ^ i, grouped by k; ``starts[k]`` is the offset of
+    the group of k.
+    """
+    left, right, signs, starts = [], [], [], []
+    for k in range(1 << n):
+        starts.append(len(left))
+        subs = [k]
+        i = k
+        while i:
+            i = (i - 1) & k
+            subs.append(i)
+        for i in reversed(subs):
+            left.append(i)
+            right.append(k ^ i)
+            signs.append(_merge_sign(i, k ^ i))
+    return (np.array(left), np.array(right), np.array(signs, dtype=float),
+            np.array(starts))
+
+
+def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Batched Grassmann product of (..., 2^n) coefficient arrays."""
+    left, right, signs, starts = _pair_table(A.shape[-1].bit_length() - 1)
+    terms = A[..., left] * B[..., right] * signs
+    return np.add.reduceat(terms, starts, axis=-1)
+
+
+def _binv(A: np.ndarray) -> np.ndarray:
+    """Batched inverse via the Neumann series over the nilpotent soul."""
+    n = A.shape[-1].bit_length() - 1
+    body = A[..., 0]
+    if np.any(np.abs(body) == 0.0):
+        raise NotInvertible("vanishing body in batched inverse")
+    minus_soul = -A
+    minus_soul[..., 0] = 0.0
+    out = np.zeros_like(A)
+    out[..., 0] = 1.0 / body
+    power, bpow = minus_soul, body
+    for _ in range(n):
+        if not power.any():
+            break
+        bpow = bpow * body
+        out += power / bpow[..., None]
+        power = _bmul(power, minus_soul)
+    return out
+
+
+def _gvec(g: GrassmannNumber, n: int) -> np.ndarray:
+    v = np.zeros(1 << n, dtype=complex)
+    for mask, c in g.terms.items():
+        v[mask] = complex(c)
+    return v
+
+
+def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
+    terms = {m: c for m, c in enumerate(vec.tolist()) if c != 0}
+    return GrassmannNumber(n, FLOAT, terms)
+
+
+def _gather(c: np.ndarray):
+    """Left multiplication by the constant c as (dst, src, c_i sign, starts).
+
+    Keeps, in table order, the pair-table triples (i, k ^ i, sign) with
+    c_i != 0 and the whole group of a k that meets three of them, as numpy
+    sums that group pairwise; the run from starts[g] sums into dst[g].
+    """
+    left, right, signs, starts = _pair_table(c.shape[-1].bit_length() - 1)
+    live = c[left] != 0
+    crowded = np.add.reduceat(live, starts, dtype=int) > 2
+    k = left | right
+    keep = np.flatnonzero(live | crowded[k])
+    dst = k[keep]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    return dst[starts], right[keep], c[left[keep]] * signs[keep], starts
+
+
+def _gather_add(gather, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` += c B for batched B (..., 2^n), c the gather's constant."""
+    dst, src, w, starts = gather
+    out[..., dst] += np.add.reduceat(w * B[..., src], starts, axis=-1)
+    return out

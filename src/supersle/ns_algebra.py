@@ -369,10 +369,6 @@ class VermaModule:
         return out
 
 
-def apply(elem: AlgebraElement, v: VermaVector) -> VermaVector:
-    return VermaModule(v.params).apply(elem, v)
-
-
 # -- singular vectors ---------------------------------------------------------
 
 

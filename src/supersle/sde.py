@@ -1,14 +1,12 @@
 """Numerical integration of graded stochastic evolutions.
 
-Float-coefficient Grassmann states are held as dense complex vectors over
-the 2^n monomial masks, so Euler--Maruyama stepping, closed-form evaluation
-and Monte-Carlo averaging are plain numpy array operations.  Products of
-two states go through one sparse Koszul pair table per n, the float
-counterpart of ``GrassmannNumber.__mul__``; a constant times a state is a
-signed gather of its rows, and Monte-Carlo transition matrices are built
-from it, with words normal-ordered by ``ns_algebra.VermaModule``.  The
-module also provides the classical Loewner flow and rasterized hulls of the
-scaled complex Brownian trace.
+Float-coefficient Grassmann states are the dense mask vectors of
+``supersle.kernel``, so Euler--Maruyama stepping, closed-form evaluation
+and Monte-Carlo averaging are plain numpy array operations.  Monte-Carlo
+transition matrices are built from the kernel's products, with words
+normal-ordered by ``ns_algebra.VermaModule``.  The module also provides the
+classical Loewner flow and rasterized hulls of the scaled complex Brownian
+trace.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -28,9 +26,9 @@ from supersle.grassmann import (
     CoefficientRing,
     GrassmannNumber,
     NotInvertible,
-    _merge_sign,
     make_generator,
 )
+from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gnum, _gvec
 from supersle.ns_algebra import (
     CutoffOverflow,
     AlgebraElement,
@@ -142,94 +140,7 @@ class SuperPath:
         return tuple(_gnum(row, self.n) for row in self.TH)
 
 
-# -- batched float Grassmann arithmetic ------------------------------------------
-
-
-@cache
-def _pair_table(n: int):
-    """Koszul pair table of the Grassmann algebra on n generators.
-
-    Lists the 3^n triples (i, j, sign) with psi_i psi_j = sign psi_k, i a
-    submask of k and j = k ^ i, grouped by k; ``starts[k]`` is the offset of
-    the group of k.
-    """
-    left, right, signs, starts = [], [], [], []
-    for k in range(1 << n):
-        starts.append(len(left))
-        subs = [k]
-        i = k
-        while i:
-            i = (i - 1) & k
-            subs.append(i)
-        for i in reversed(subs):
-            left.append(i)
-            right.append(k ^ i)
-            signs.append(_merge_sign(i, k ^ i))
-    return (np.array(left), np.array(right), np.array(signs, dtype=float),
-            np.array(starts))
-
-
-def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Batched Grassmann product of (..., 2^n) coefficient arrays."""
-    left, right, signs, starts = _pair_table(A.shape[-1].bit_length() - 1)
-    terms = A[..., left] * B[..., right] * signs
-    return np.add.reduceat(terms, starts, axis=-1)
-
-
-def _binv(A: np.ndarray) -> np.ndarray:
-    """Batched inverse via the Neumann series over the nilpotent soul."""
-    n = A.shape[-1].bit_length() - 1
-    body = A[..., 0]
-    if np.any(np.abs(body) == 0.0):
-        raise NotInvertible("vanishing body in batched inverse")
-    minus_soul = -A
-    minus_soul[..., 0] = 0.0
-    out = np.zeros_like(A)
-    out[..., 0] = 1.0 / body
-    power, bpow = minus_soul, body
-    for _ in range(n):
-        if not power.any():
-            break
-        bpow = bpow * body
-        out += power / bpow[..., None]
-        power = _bmul(power, minus_soul)
-    return out
-
-
-def _gvec(g: GrassmannNumber, n: int) -> np.ndarray:
-    v = np.zeros(1 << n, dtype=complex)
-    for mask, c in g.terms.items():
-        v[mask] = complex(c)
-    return v
-
-
-def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
-    terms = {m: c for m, c in enumerate(vec.tolist()) if c != 0}
-    return GrassmannNumber(n, FLOAT, terms)
-
-
-def _gather(c: np.ndarray):
-    """Left multiplication by the constant c as (dst, src, c_i sign, starts).
-
-    Keeps, in table order, the pair-table triples (i, k ^ i, sign) with
-    c_i != 0 and the whole group of a k that meets three of them, as numpy
-    sums that group pairwise; the run from starts[g] sums into dst[g].
-    """
-    left, right, signs, starts = _pair_table(c.shape[-1].bit_length() - 1)
-    live = c[left] != 0
-    crowded = np.add.reduceat(live, starts, dtype=int) > 2
-    k = left | right
-    keep = np.flatnonzero(live | crowded[k])
-    dst = k[keep]
-    starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    return dst[starts], right[keep], c[left[keep]] * signs[keep], starts
-
-
-def _gather_add(gather, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` += c B for batched B (..., 2^n), c the gather's constant."""
-    dst, src, w, starts = gather
-    out[..., dst] += np.add.reduceat(w * B[..., src], starts, axis=-1)
-    return out
+# -- Euler--Maruyama integration --------------------------------------------------
 
 
 def _coefficient_table(fns, n: int):
@@ -277,9 +188,6 @@ def _eval_table(table, lo: int, hi: int, Z: np.ndarray,
             val = val + _bmul(TH, bsum)
         out.append(val)
     return out
-
-
-# -- Euler--Maruyama integration --------------------------------------------------
 
 
 def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
@@ -791,13 +699,6 @@ class HullRaster:
 
     bounds: tuple       # (xmin, xmax, ymin, ymax)
     occupancy: np.ndarray  # shape (ny, nx)
-
-    def cell_of(self, point: complex):
-        xmin, xmax, ymin, ymax = self.bounds
-        ny, nx = self.occupancy.shape
-        ix = int((point.real - xmin) / (xmax - xmin) * nx)
-        iy = int((point.imag - ymin) / (ymax - ymin) * ny)
-        return min(max(iy, 0), ny - 1), min(max(ix, 0), nx - 1)
 
 
 @dataclass(frozen=True)

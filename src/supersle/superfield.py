@@ -19,7 +19,6 @@ from supersle.grassmann import (
     CoefficientRing,
     GrassmannNumber,
     format_grassmann,
-    parse_grassmann,
 )
 
 
@@ -176,22 +175,6 @@ class LaurentSuperfunction:
         fmt = lambda p: {k: format_grassmann(v) for k, v in sorted(p.items())}
         return f"LaurentSuperfunction(a={fmt(self.a)}, b={fmt(self.b)})"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"a": {str(k): format_grassmann(v) for k, v in self.a.items()},
-                "b": {str(k): format_grassmann(v) for k, v in self.b.items()}}
-
-    @classmethod
-    def from_json(cls, data: dict, n: int,
-                  ring: CoefficientRing = EXACT) -> "LaurentSuperfunction":
-        return cls({int(k): parse_grassmann(v, n, ring) for k, v in data.get("a", {}).items()},
-                   {int(k): parse_grassmann(v, n, ring) for k, v in data.get("b", {}).items()})
-
-
-def constant(g: GrassmannNumber) -> LaurentSuperfunction:
-    return LaurentSuperfunction({0: g}, {})
-
 
 def z_power(k: int, n: int = 0, ring: CoefficientRing = EXACT) -> LaurentSuperfunction:
     return LaurentSuperfunction({k: GrassmannNumber.scalar(1, n, ring)}, {})
@@ -216,29 +199,3 @@ def is_superconformal(zp: LaurentSuperfunction, thetap: LaurentSuperfunction,
     if exact:
         return False, residual
     return residual.max_abs() <= tol, residual
-
-
-def components_to_map(g, gamma, tau, s):
-    """Build (z', theta') = (g + theta*gamma, tau + theta*s) from components.
-
-    Each component is a {exponent: GrassmannNumber} mapping; g, s must be
-    even, gamma, tau odd.
-    """
-    for name, comp, want in (("g", g, EVEN), ("gamma", gamma, ODD),
-                             ("tau", tau, ODD), ("s", s, EVEN)):
-        for v in comp.values():
-            if not v.is_zero() and v.parity() != want:
-                raise ParityError(f"component {name} must be {want}")
-    zp = LaurentSuperfunction(g, gamma)
-    thetap = LaurentSuperfunction(tau, s)
-    return zp, thetap
-
-
-def check_gts(zp: LaurentSuperfunction, thetap: LaurentSuperfunction) -> bool:
-    """Verify gamma = tau*s and dg/dz = s^2 - tau dtau/dz for a built map."""
-    g, gamma = zp.a, zp.b
-    tau, s = thetap.a, thetap.b
-    cond1 = _poly_add(gamma, _poly_neg(_poly_mul(tau, s)))
-    rhs = _poly_add(_poly_mul(s, s), _poly_neg(_poly_mul(tau, _poly_dz(tau))))
-    cond2 = _poly_add(_poly_dz(g), _poly_neg(rhs))
-    return not cond1 and not cond2

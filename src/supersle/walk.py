@@ -31,7 +31,6 @@ import sympy as sp
 from supersle.grassmann import (
     EVEN,
     EXACT,
-    FLOAT,
     ODD,
     CoefficientRing,
     GrassmannNumber,
@@ -217,7 +216,7 @@ def _half(ring: CoefficientRing):
     return sp.Rational(1, 2) if ring.kind == "exact" else 0.5
 
 
-def _coefficient_pair(table, ring):
+def _coefficient_pair(table):
     """(z', theta') superfunctions for one coefficient table (Eq.-style sums)."""
     a_z, b_z, a_t, b_t = {}, {}, {}, {}
     for n, (y, eta) in table.items():
@@ -234,12 +233,12 @@ def _coefficient_pair(table, ring):
 
 def diffusion_from_spec(spec: WalkSpec):
     """Per-i diffusion coefficient functions (z_i', theta_i')."""
-    return tuple(_coefficient_pair(t, spec.ring) for t in spec.beta)
+    return tuple(_coefficient_pair(t) for t in spec.beta)
 
 
 def drift_from_spec(spec: WalkSpec):
     """Drift coefficient functions (z_0', theta_0'), Ito correction included."""
-    zp0, tp0 = _coefficient_pair(spec.alpha0, spec.ring)
+    zp0, tp0 = _coefficient_pair(spec.alpha0)
     half = _half(spec.ring)
     for zi, ti in diffusion_from_spec(spec):
         corr_z = zi * zi.z_derivative() + ti * zi.theta_derivative()

@@ -374,6 +374,13 @@ class TestTrace:
                            "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_unallocatable_grid_exit_2(self, capsys, tmp_path):
+        # numpy refuses the 90.9 TiB raster outright, before any work
+        code, _, err = run(capsys, "trace", "--kappa", "2", "--T", "0.01",
+                           "--grid", "10000000", "--out", str(tmp_path / "h"))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_requires_out(self, capsys):
         code, _, err = run(capsys, "trace", "--kappa", "1")
         assert code == 2
@@ -387,14 +394,71 @@ class TestParsing:
         assert main(["verify"]) == 2
 
 
-def test_import_loads_no_scipy():
-    # the package needs numpy and sympy only; keep scipy out of its imports
+def python_stdout(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports this src."""
     src = os.path.dirname(os.path.dirname(sde_mod.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, supersle, supersle.cli; print(sorted(m for m in "
-            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # the package needs numpy and sympy only; keep scipy out of its imports
+    assert python_stdout(
+        "import sys, supersle, supersle.cli; print(sorted(m for m in "
+        "sys.modules if m == 'scipy' or m.startswith('scipy.')))") == "[]"
+
+
+# the package's exports by defining module, in the order of __all__
+EXPORTS = {
+    "grassmann": "EXACT FLOAT CoefficientRing GrassmannNumber NotInvertible "
+                 "make_generator",
+    "superfield": "LaurentSuperfunction ParityError SuperPoint "
+                  "is_superconformal",
+    "ns_algebra": "AlgebraElement CutoffOverflow G L Mode ModuleParams "
+                  "VermaModule VermaVector bracket is_singular "
+                  "is_singular_level2 params_from_kappa_ns "
+                  "params_from_kappa_virasoro pbw_words quotient_projection "
+                  "singular_condition_residual singular_vector_32 "
+                  "singularity_report virasoro_level2_vector",
+    "walk": "SdeSystem WalkSpec diffusion_from_spec drift_from_spec "
+            "drift_generator drift_vector martingale_drift match_singular "
+            "reduced_drift_vector sde_system spec_32 spec_32alt spec_virasoro "
+            "standard_spec",
+    "sde": "BrownianPath DenominatorVanishes HullRaster LoewnerResult "
+           "SuperPath SwallowedPoint closed_form_32 closed_form_32_map "
+           "closed_form_32alt closed_form_32alt_map conservation_check_32 "
+           "convergence_32 convergence_32alt euler_maruyama loewner_flow "
+           "mc_martingale pathwise_convergence supertrace_hull "
+           "write_json_report write_pgm write_superpath_csv",
+}
+
+
+def test_import_is_lazy():
+    loaded = python_stdout(
+        "import sys, supersle; print(sorted(m for m in sys.modules if "
+        "m.startswith('supersle.') or m.split('.')[0] == 'sympy'))")
+    assert loaded == "[]"
+
+
+def test_exports_resolve_to_defining_modules():
+    import importlib
+
+    import supersle
+
+    pairs = [(name, module) for module, names in EXPORTS.items()
+             for name in names.split()]
+    assert supersle.__all__ == [name for name, _ in pairs]
+    assert len(pairs) == 64
+    for name, module in pairs:
+        defined = getattr(importlib.import_module(f"supersle.{module}"), name)
+        assert getattr(supersle, name) is defined, name
+    star = {}
+    exec("from supersle import *", star)
+    assert all(star[name] is getattr(supersle, name) for name, _ in pairs)
+    assert set(supersle.__all__) <= set(dir(supersle))
+    with pytest.raises(AttributeError):
+        supersle.no_such_name

@@ -15,7 +15,6 @@ from supersle.ns_algebra import (
     Projector,
     VermaModule,
     VermaVector,
-    apply,
     bracket,
     is_singular,
     is_singular_level2,
@@ -38,6 +37,11 @@ HALF = Fraction(1, 2)
 
 def vec(params, entries):
     return VermaVector(params, entries)
+
+
+def apply(elem, v):
+    """elem acting on v in a module of v's parameters."""
+    return VermaModule(v.params).apply(elem, v)
 
 
 class TestModes:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from supersle import kernel
 from supersle import sde as sde_module
-from supersle.grassmann import (FLOAT, GrassmannNumber, _merge_sign,
-                                make_generator)
+from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
+from supersle.kernel import _binv, _bmul, _gather, _gather_add
 from supersle.ns_algebra import (
     CutoffOverflow,
     ModuleParams,
@@ -44,13 +45,9 @@ from supersle.sde import (
     write_json_report,
     write_pgm,
     write_superpath_csv,
-    _binv,
     _coefficient_table,
     _eval_table,
     _fill_hull,
-    _bmul,
-    _gather,
-    _gather_add,
     _element_data,
     _reachable_masks,
     _right_multiplication_matrix,
@@ -105,6 +102,13 @@ def convergence_32alt_reference(monkeypatch, kappa):
     return convergence_32alt(kappa, init_32alt(), 0.1, [1e-2, 1e-3], 1, 0)
 
 
+def koszul_sign(m, mu):
+    """Sign of psi_m psi_mu in the exact product of two monomials."""
+    n = max(m, mu).bit_length()
+    prod = GrassmannNumber(n, FLOAT, {m: 1}) * GrassmannNumber(n, FLOAT, {mu: 1})
+    return prod.coefficient(m | mu).real
+
+
 def koszul_loop_matrix(element, words, masks, module):
     """Reference for ``_right_multiplication_matrix``: one entry at a time,
     with the Koszul sign of each coefficient mask product."""
@@ -123,7 +127,7 @@ def koszul_loop_matrix(element, words, masks, module):
                 for m in masks:
                     if m & mu or (m | mu) not in midx:
                         continue
-                    sgn = sgn_word * _merge_sign(m, mu)
+                    sgn = sgn_word * koszul_sign(m, mu)
                     row = widx[w] * nm + midx[m]
                     for w2, c in targets.items():
                         col = widx[w2] * nm + midx[m | mu]
@@ -270,11 +274,9 @@ class TestCoefficientTable:
                 assert np.max(np.abs(row - want)) <= 1e-12 * scale
 
     def test_coefficients_converted_once(self, monkeypatch):
-        import supersle.sde as sde_mod
-
         calls = []
-        gvec = sde_mod._gvec
-        monkeypatch.setattr(sde_mod, "_gvec",
+        gvec = sde_module._gvec
+        monkeypatch.setattr(sde_module, "_gvec",
                             lambda g, n: calls.append(g) or gvec(g, n))
         system = sde_system(spec_32(2.0, FLOAT))
         fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
@@ -285,12 +287,10 @@ class TestCoefficientTable:
     def test_constant_coefficients_skip_pair_table(self, monkeypatch):
         # per step: two Neumann powers of the soul of z and two theta b(z)
         # products; every constant coefficient is a gather
-        import supersle.sde as sde_mod
-
         calls = []
-        bmul = sde_mod._bmul
-        monkeypatch.setattr(sde_mod, "_bmul",
-                            lambda A, B: calls.append(1) or bmul(A, B))
+        counted = lambda A, B: calls.append(1) or _bmul(A, B)
+        for module in (kernel, sde_module):  # _binv's powers and sde's own
+            monkeypatch.setattr(module, "_bmul", counted)
         steps = 1000
         euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
                        BrownianPath.sample(1, 1e-3, steps, 1))
@@ -470,6 +470,28 @@ class TestClosedForm32alt:
         assert abs(zT[0b1111]) > 1e-3
         assert np.max(np.abs(zT - Z[-1])) <= 1e-12
         assert np.max(np.abs(thT - TH[-1])) <= 1e-12
+
+
+def soul_only_32():
+    """An initial point on the spec-32 generators whose z has zero body."""
+    p0p1 = make_generator(0, 4, FLOAT) * make_generator(1, 4, FLOAT)
+    return SuperPoint(p0p1, make_generator(3, 4, FLOAT))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: closed_form_32(soul_only_32(), zero_path(1, 0.1, 10), 2.0),
+     NotInvertible),
+    (lambda: conservation_check_32(soul_only_32(), zero_path(1, 0.1, 10), 2.0),
+     NotInvertible),
+    (lambda: closed_form_32alt(init_32alt(), zero_path(1, 0.1, 10), 2.0),
+     ValueError),
+    (lambda: _binv(np.array([[2, 1, 0, 0], [0, 1, 0, 0]], dtype=complex)),
+     NotInvertible),
+], ids=["closed_form_32-zero-body", "conservation_check_32-zero-body",
+        "closed_form_32alt-one-dimensional-path", "binv-zero-body"])
+def test_refused_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestSuperconformalMaps:
@@ -694,6 +716,15 @@ class TestLoewnerCapacity:
         assert abs(ratio - 2.0) <= 0.05
 
 
+def cell_of(raster, point):
+    """(row, column) of the raster cell holding ``point``, clamped to the grid."""
+    xmin, xmax, ymin, ymax = raster.bounds
+    ny, nx = raster.occupancy.shape
+    ix = int((point.real - xmin) / (xmax - xmin) * nx)
+    iy = int((point.imag - ymin) / (ymax - ymin) * ny)
+    return min(max(iy, 0), ny - 1), min(max(ix, 0), nx - 1)
+
+
 class TestSupertraceHull:
     def test_trace_starts_at_origin(self):
         _, trace = supertrace_hull(2.0, 1.0, 1e-3, 1, 50)
@@ -703,7 +734,7 @@ class TestSupertraceHull:
         raster, trace = supertrace_hull(0.0, 1.0, 1e-3, 5, 50)
         assert np.all(trace == 0.0)
         assert int(raster.occupancy.sum()) == 1
-        iy, ix = raster.cell_of(0.0)
+        iy, ix = cell_of(raster, 0.0)
         assert raster.occupancy[iy, ix]
 
     def test_nesting_ten_seeds(self):
@@ -716,7 +747,7 @@ class TestSupertraceHull:
     def test_trace_contained(self):
         raster, trace = supertrace_hull(3.0, 0.5, 1e-3, 4, 80)
         for p in trace[:: max(1, len(trace) // 50)]:
-            iy, ix = raster.cell_of(complex(p))
+            iy, ix = cell_of(raster, complex(p))
             assert raster.occupancy[iy, ix]
 
     def test_grid_validation(self):

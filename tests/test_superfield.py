@@ -2,14 +2,15 @@ import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supersle.grassmann import EXACT, GrassmannNumber, NotInvertible, make_generator
+from supersle.grassmann import EVEN, ODD, GrassmannNumber, NotInvertible, make_generator
 from supersle.superfield import (
     LaurentSuperfunction,
     ParityError,
     SuperPoint,
-    check_gts,
-    components_to_map,
-    constant,
+    _poly_add,
+    _poly_dz,
+    _poly_mul,
+    _poly_neg,
     is_superconformal,
     theta_times,
     z_power,
@@ -24,6 +25,37 @@ def sc(x):
 
 def gen(i):
     return make_generator(i, N)
+
+
+def constant(g):
+    return LaurentSuperfunction({0: g}, {})
+
+
+# -- component form: an oracle for superconformality independent of D ----------
+
+
+def components_to_map(g, gamma, tau, s):
+    """Build (z', theta') = (g + theta*gamma, tau + theta*s) from components.
+
+    Each component is a {exponent: GrassmannNumber} mapping; g, s must be
+    even, gamma, tau odd.
+    """
+    for name, comp, want in (("g", g, EVEN), ("gamma", gamma, ODD),
+                             ("tau", tau, ODD), ("s", s, EVEN)):
+        for v in comp.values():
+            if not v.is_zero() and v.parity() != want:
+                raise ParityError(f"component {name} must be {want}")
+    return LaurentSuperfunction(g, gamma), LaurentSuperfunction(tau, s)
+
+
+def check_gts(zp, thetap) -> bool:
+    """Verify gamma = tau*s and dg/dz = s^2 - tau dtau/dz for a built map."""
+    g, gamma = zp.a, zp.b
+    tau, s = thetap.a, thetap.b
+    cond1 = _poly_add(gamma, _poly_neg(_poly_mul(tau, s)))
+    rhs = _poly_add(_poly_mul(s, s), _poly_neg(_poly_mul(tau, _poly_dz(tau))))
+    cond2 = _poly_add(_poly_dz(g), _poly_neg(rhs))
+    return not cond1 and not cond2
 
 
 def compose(F, zp, thetap):
@@ -146,7 +178,6 @@ def random_built_maps(draw):
     s = {k: sc(draw(small)) for k in draw(st.lists(st.integers(0, 2), max_size=2))}
     s[0] = sc(1 + draw(st.integers(0, 2)))  # keep an invertible-ish leading term
     tau = {k: eta * draw(small) for k in draw(st.lists(st.integers(0, 2), max_size=2))}
-    from supersle.superfield import _poly_dz, _poly_mul, _poly_neg, _poly_add
     gamma = _poly_mul(tau, s)
     dg = _poly_add(_poly_mul(s, s), _poly_neg(_poly_mul(tau, _poly_dz(tau))))
     if any(k == -1 for k in dg):
@@ -194,12 +225,3 @@ def test_chain_rule():
             lhs = compose(F, zp, thetap).superderivative()
             rhs = dthetap * compose(F.superderivative(), zp, thetap)
             assert lhs == rhs
-
-
-def test_json_round_trip():
-    t = sp.Symbol("t")
-    F = LaurentSuperfunction({1: sc(1), 0: sc(sp.Rational(-3, 2))},
-                             {-1: gen(2) * t, 0: gen(0) * sp.I})
-    data = F.to_json()
-    G = LaurentSuperfunction.from_json(data, N, EXACT)
-    assert F == G

@@ -11,10 +11,14 @@ from supersle.ns_algebra import (
     AlgebraElement,
     ModuleParams,
     VermaVector,
+    is_singular,
+    is_singular_level2,
     params_from_kappa_ns,
     params_from_kappa_virasoro,
+    quotient_projection,
     singular_condition_residual,
     singular_vector_32,
+    virasoro_level2_vector,
 )
 from supersle.superfield import LaurentSuperfunction
 from supersle.walk import (
@@ -209,10 +213,44 @@ class TestMartingaleDrift:
         params = params_from_kappa_virasoro(kappa)
         v = drift_vector(spec_virasoro(kappa), params)
         # (-2 L_{-2} + kappa/2 L_{-1}^2)|D> is annihilated by L_1 and L_2
-        from supersle.ns_algebra import is_singular_level2
-
         ok, _ = is_singular_level2(v)
         assert ok
+
+
+class TestSymbolicKappa:
+    """The headline identities hold identically in kappa, not only at
+    sampled values."""
+
+    kappa = sp.Symbol("kappa", positive=True)
+
+    @pytest.mark.parametrize("build", [spec_32, spec_32alt])
+    def test_drift_matches_singular_vector(self, build):
+        spec = build(self.kappa)
+        rep = match_singular(spec, self.kappa)
+        assert rep["matched"]
+        assert rep["proportionality"] == spec.odd_unit * -self.kappa
+
+    def test_reduced_drift_vectors_agree(self):
+        params = params_from_kappa_ns(self.kappa)
+        assert reduced_drift_vector(spec_32(self.kappa), params) == \
+            reduced_drift_vector(spec_32alt(self.kappa), params)
+
+    def test_singular_vectors(self):
+        params = params_from_kappa_ns(self.kappa)
+        assert sp.cancel(singular_condition_residual(params)) == 0
+        assert is_singular(singular_vector_32(params))[0]
+        assert is_singular_level2(virasoro_level2_vector(self.kappa))[0]
+
+    def test_projector_kills_matched_drift_only(self):
+        params = params_from_kappa_ns(self.kappa)
+        P = quotient_projection(params, Fraction(9, 2))
+        assert len(P.rows) == 17
+        assert P(drift_vector(spec_32(self.kappa), params)).is_zero()
+        # detuned as by martingale --delta-shift 1/2
+        shifted = ModuleParams(params.c, params.delta + HALF,
+                               params.level_cutoff)
+        Q = quotient_projection(shifted, Fraction(9, 2), check_singular=False)
+        assert not Q(drift_vector(spec_32(self.kappa), shifted)).is_zero()
 
 
 def random_spec(rnd, ring=EXACT):
