@@ -16,7 +16,8 @@ Exit codes (a non-zero exit prints exactly one line on stderr):
 2  'error: ...': usage, parse or file error, input the numerics refuse
    (swallowed point, vanishing denominator, non-invertible initial point,
    parity error), or a run too large to allocate (MemoryError).
---kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5).  The
+--kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5); --cutoff is
+at most MAX_CUTOFF = 8, a basis of 315 PBW words (more exits 2).  The
 seed falls back to SUPER_SLE_SEED, then 0.  All outputs embed the resolved
 configuration as '# key=value' comment lines (CSV/PGM) or a "config"
 object (JSON), so identical configurations produce byte-identical files.
@@ -53,6 +54,9 @@ from supersle.ns_algebra import (
 from supersle.superfield import ParityError, SuperPoint
 from supersle.walk import WalkSpec, match_singular, sde_system, standard_spec
 from supersle import sde as sde_mod
+
+
+MAX_CUTOFF = 8  # the Monte-Carlo matrices grow as (words x masks)^2
 
 
 class UsageError(ValueError):
@@ -251,6 +255,8 @@ def cmd_martingale(args) -> int:
         cutoff = _rational(args.cutoff, "--cutoff")
         if cutoff < 0 or cutoff.denominator > 2:
             raise UsageError("--cutoff must be a non-negative multiple of 1/2")
+        if cutoff > MAX_CUTOFF:
+            raise UsageError(f"--cutoff must be at most {MAX_CUTOFF}")
     sde_mod.walk_elements(spec, cutoff)  # exit 1 comes before the paths check
     if paths < 2:
         raise UsageError("martingale needs --paths >= 2 for a standard error")
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=0.25)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--cutoff", default=None,
-                   help="level cutoff, a multiple of 1/2; default 7/2")
+                   help=f"level cutoff, a multiple of 1/2 <= {MAX_CUTOFF}; default 7/2")
     p.add_argument("--delta-shift", dest="delta_shift", default=None,
                    help="detune the highest weight by this rational")
     group = p.add_mutually_exclusive_group()

@@ -9,18 +9,22 @@ Modes are L_n (n integer, even) and G_r (r half-odd-integer, odd), with
 Verma-module vectors are kept in the PBW basis
 L_{-n1}...L_{-nk} G_{-r1}...G_{-rm} |Delta> with n1 >= ... >= nk >= 1 and
 r1 > ... > rm >= 1/2.  Normal ordering commutes annihilators to the right
-recursively; coefficients of vectors are Grassmann numbers, and odd
-coefficients pick up a sign when a word with an odd number of G modes moves
-past them.
+recursively, over the ground domain of (c, Delta): QQ for rationals, a
+fraction field over free symbols, EX otherwise.  Coefficients of vectors are
+Grassmann numbers, and odd coefficients pick up a sign when a word with an
+odd number of G modes moves past them.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 import sympy as sp
+from sympy.polys.constructor import construct_domain
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.polyerrors import CoercionFailed
 
 from supersle.grassmann import EXACT, GrassmannNumber, format_grassmann
 
@@ -81,6 +85,7 @@ def G(r) -> Mode:
     return _interned("G", Fraction(r))
 
 
+@cache
 def word_level(word) -> Fraction:
     return -sum((m.index for m in word), Fraction(0))
 
@@ -103,6 +108,8 @@ class ModuleParams:
 
     def __post_init__(self):
         def coerce(x):
+            if isinstance(x, (int, Fraction, sp.Rational)):
+                return sp.Rational(x)
             x = sp.sympify(x)
             return sp.nsimplify(x, rational=True) if x.is_number else x
 
@@ -114,32 +121,24 @@ class ModuleParams:
 
 
 @cache
-def _bracket_terms(a: Mode, b: Mode, c):
-    """[a, b] (anticommutator if both odd) as ((scalar, Mode-or-None), ...)."""
-    out = []
+def _bracket_terms(a: Mode, b: Mode, c, K=None):
+    """[a, b] (anticommutator if both odd) as ((scalar, Mode-or-None), ...).
+
+    Scalars are sympy numbers, or elements of the ground domain K (c then
+    lies in K too)."""
+    q = sp.Rational if K is None else (lambda x: K.from_sympy(sp.Rational(x)))
+    n, m = a.index, b.index
     if a.kind == "L" and b.kind == "L":
-        n, m = sp.Rational(a.index), sp.Rational(b.index)
-        out.append((n - m, L(a.index + b.index)))
-        if a.index + b.index == 0:
-            central = c / 12 * n * (n**2 - 1)
-            if central != 0:
-                out.append((central, None))
+        out = [(q(n - m), L(n + m)), (c * q(n * (n * n - 1) / 12), None)]
     elif a.kind == "L" and b.kind == "G":
-        n, r = sp.Rational(a.index), sp.Rational(b.index)
-        out.append((n / 2 - r, G(a.index + b.index)))
+        out = [(q(n / 2 - m), G(n + m))]
     elif a.kind == "G" and b.kind == "L":
-        # [G_r, L_n] = -[L_n, G_r]
-        n, r = sp.Rational(b.index), sp.Rational(a.index)
-        out.append((-(n / 2 - r), G(a.index + b.index)))
+        out = [(q(n - m / 2), G(n + m))]  # [G_r, L_n] = -[L_n, G_r]
     else:
-        r, s = sp.Rational(a.index), sp.Rational(b.index)
-        out.append((sp.Integer(2), L(a.index + b.index)))
-        if a.index + b.index == 0:
-            central = c / 3 * (r**2 - sp.Rational(1, 4))
-            if central != 0:
-                out.append((central, None))
-    out = [(sp.expand(s), m) for s, m in out]
-    return tuple((s, m) for s, m in out if s != 0 or m is None)
+        out = [(q(2), L(n + m)), (c * q((n * n - HALF / 2) / 3), None)]
+    if K is None:
+        out = [(sp.expand(s), w) for s, w in out]
+    return tuple((s, w) for s, w in out if s != 0 and (w or n + m == 0))
 
 
 def bracket(a: Mode, b: Mode, c) -> "AlgebraElement":
@@ -293,6 +292,8 @@ class VermaModule:
 
     def __init__(self, params: ModuleParams):
         self.params = params
+        self.domain, (self._c, self._delta) = construct_domain(
+            [params.c, params.delta], field=True)
         self._cache = {}
 
     def vacuum(self, n: int = 0, ring=EXACT) -> VermaVector:
@@ -301,55 +302,52 @@ class VermaModule:
     # -- scalar-coefficient core ------------------------------------------
 
     def act_mode(self, m: Mode, mono) -> dict:
-        """Normal-order m * mono |Delta>; returns {PBW mono: sympy scalar}."""
+        """Normal-order m * mono |Delta>; returns {PBW mono: scalar}, each
+        scalar a non-zero element of the ground domain ``self.domain``."""
         key = (m, mono)
         if key in self._cache:
             return self._cache[key]
-        c, delta = self.params.c, self.params.delta
+        K = self.domain
         out = {}
         if m.lowering and (not mono or _pbw_ok(m, mono[0])):
             # already PBW-ordered; words above the level cutoff are trimmed
             if word_level((m,) + mono) <= self.params.level_cutoff:
-                out[(m,) + mono] = sp.S.One
+                out[(m,) + mono] = K.one
         elif not mono:
             if m.kind == "L" and m.index == 0:
-                out[()] = delta
+                out[()] = self._delta
             # annihilators (L_n n>=1, G_r r>=1/2) give zero
-        elif m == mono[0] and m.odd:
-            # G_r G_r = (1/2){G_r, G_r}
-            rest = mono[1:]
-            for scalar, bm in _bracket_terms(m, m, c):
-                scalar = scalar / 2
-                sub = {rest: scalar} if bm is None else {
-                    k: scalar * v for k, v in self.act_mode(bm, rest).items()}
-                for k, v in sub.items():
-                    out[k] = out.get(k, 0) + v
         else:
             first, rest = mono[0], mono[1:]
+            # G_r G_r = (1/2){G_r, G_r}; any other m moves past first
+            square = m == first and m.odd
             sigma = -1 if (m.odd and first.odd) else 1
-            for mid, s1 in self.act_mode(m, rest).items():
+            for mid, s1 in ({} if square else self.act_mode(m, rest)).items():
                 for fin, s2 in self.act_mode(first, mid).items():
-                    out[fin] = out.get(fin, 0) + sigma * s1 * s2
-            for scalar, bm in _bracket_terms(m, first, c):
-                sub = {rest: scalar} if bm is None else {
-                    k: scalar * v for k, v in self.act_mode(bm, rest).items()}
+                    out[fin] = out.get(fin, K.zero) + sigma * s1 * s2
+            for scalar, bm in _bracket_terms(m, first, self._c, K):
+                scalar = scalar / 2 if square else scalar
+                sub = {rest: K.one} if bm is None else self.act_mode(bm, rest)
                 for k, v in sub.items():
-                    out[k] = out.get(k, 0) + v
-        out = {k: sp.expand(v) for k, v in out.items()}
-        out = {k: v for k, v in out.items() if v != 0}
+                    out[k] = out.get(k, K.zero) + scalar * v
+        out = {k: v for k, v in out.items() if v}
         self._cache[key] = out
         return out
 
-    def act_word(self, word, mono) -> dict:
-        """Normal-order word * mono |Delta> with scalar coefficients."""
-        state = {tuple(mono): sp.S.One}
-        for m in reversed(tuple(word)):
+    def _act(self, word: tuple, state: dict) -> dict:
+        """Normal-order word on a {PBW mono: domain scalar} combination."""
+        for m in reversed(word):
             nxt = {}
             for mo, s in state.items():
                 for k, v in self.act_mode(m, mo).items():
-                    nxt[k] = nxt.get(k, 0) + s * v
-            state = {k: v for k, v in ((k, sp.expand(v)) for k, v in nxt.items()) if v != 0}
+                    nxt[k] = nxt.get(k, self.domain.zero) + s * v
+            state = {k: v for k, v in nxt.items() if v}
         return state
+
+    def act_word(self, word, mono) -> dict:
+        """Normal-order word * mono |Delta>; returns {PBW mono: sympy scalar}."""
+        state = self._act(tuple(word), {tuple(mono): self.domain.one})
+        return {k: self.domain.to_sympy(v) for k, v in state.items()}
 
     # -- Grassmann-coefficient interface ----------------------------------
 
@@ -392,13 +390,22 @@ def raising_modes(level: Fraction, virasoro_only: bool = False):
 
 
 def is_singular(v: VermaVector, virasoro_only: bool = False):
-    """True iff every raising mode of level <= level(v) annihilates v."""
+    """True iff every raising mode of level <= level(v) annihilates v.
+
+    A v with exact scalar coefficients is acted on in the module's ground
+    domain; any other v goes through ``VermaModule.apply``."""
     if v.is_zero():
         return True, []
-    module = VermaModule(v.params)
+    module, state = VermaModule(v.params), None
+    K = module.domain
+    if all(c.ring == EXACT and c.terms.keys() == {0} for c in v.entries.values()):
+        with suppress(CoercionFailed):  # a symbol outside (c, Delta)
+            state = {mono: K.from_sympy(c.body()) for mono, c in v.entries.items()}
     obstructions = []
     for m in raising_modes(v.level(), virasoro_only):
-        res = module.apply(AlgebraElement.from_mode(1, m), v)
+        res = module.apply(AlgebraElement.from_mode(1, m), v) if state is None else (
+            VermaVector(v.params, {k: K.to_sympy(s) for k, s in
+                                   module._act((m,), state).items()}))
         if not res.is_zero():
             obstructions.append((m, res))
     return not obstructions, obstructions
@@ -561,26 +568,23 @@ def quotient_projection(params: ModuleParams,
     cutoff = Fraction(cutoff)
     work = ModuleParams(params.c, params.delta, cutoff)
     module = VermaModule(work)
-    chi = [(mono, c.body()) for mono, c in singular_vector_32(work).entries.items()]
-    span = []
-    for w in pbw_words(cutoff - Fraction(3, 2)):
-        row = {}
-        for mono, c in chi:
-            for fin, s in module.act_word(w, mono).items():
-                row[fin] = row.get(fin, 0) + c * s
-        row = {m: s for m, s in ((m, sp.expand(s)) for m, s in row.items()) if s != 0}
-        if row:
-            span.append(row)
-    return Projector(params, _row_echelon(span, pbw_words(cutoff)))
+    K = module.domain
+    chi = {mono: K.from_sympy(c.body())
+           for mono, c in singular_vector_32(work).entries.items()}
+    span = [row for row in (module._act(w, chi) for w in
+                            pbw_words(cutoff - Fraction(3, 2))) if row]
+    return Projector(params, _row_echelon(span, pbw_words(cutoff), K))
 
 
-def _row_echelon(span, order):
+def _row_echelon(span, order, K=None):
     """Exact reduced row-echelon form of span rows: one (pivot word,
-    {word: scalar}) per unit pivot, both in the column order of ``order``."""
+    {word: sympy scalar}) per unit pivot, both in the column order of
+    ``order``.  Span scalars are sympy, or elements of the field K."""
     pos = {w: i for i, w in enumerate(order)}
     rows = {i: {pos[m]: s for m, s in row.items()} for i, row in enumerate(span)}
-    rref, pivots = DomainMatrix.from_dict_sympy(
-        len(span), len(order), rows).to_field().rref()
+    shape = (len(span), len(order))
+    rref, pivots = (DomainMatrix.from_dict_sympy(*shape, rows).to_field()
+                    if K is None else DomainMatrix(rows, shape, K)).rref()
     to_sympy, sdm = rref.domain.to_sympy, rref.to_sparse().rep
     return [(order[p], {order[j]: to_sympy(s) for j, s in sorted(sdm[i].items())})
             for i, p in enumerate(pivots)]

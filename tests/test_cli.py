@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import supersle.sde as sde_mod
-from supersle.cli import main
+from supersle.cli import MAX_CUTOFF, main
 
 
 def run(capsys, *argv):
@@ -332,6 +332,33 @@ class TestMartingale:
                              "--paths", "4", "--T", "0.01")
         assert code == 0 and err == ""
         assert json.loads(out)["report"]["basis_size"] == 2 * Fraction(cutoff) + 1
+
+    @pytest.mark.parametrize("cutoff", ["1e400", str(MAX_CUTOFF + Fraction(1, 2))])
+    def test_cutoff_above_maximum_refused_first(self, capsys, monkeypatch,
+                                                cutoff):
+        # refused before the walk check and any PBW enumeration
+        def fail(*args, **kwargs):
+            raise AssertionError("cutoff reached the algebra")
+
+        monkeypatch.setattr(sde_mod, "walk_elements", fail)
+        monkeypatch.setattr(sde_mod, "pbw_words", fail)
+        code, out, err = run(capsys, "martingale", "--spec", "32", "--kappa",
+                             "2", "--paths", "4", "--T", "0.01",
+                             "--cutoff", cutoff)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--cutoff" in err
+
+    def test_cutoff_at_maximum_accepted(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(sde_mod, "mc_martingale", reached)
+        with pytest.raises(Reached):
+            main(["martingale", "--spec", "32", "--kappa", "2", "--paths",
+                  "4", "--T", "0.01", "--cutoff", str(MAX_CUTOFF)])
 
     def test_paths_one_refused_before_stepping(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 from fractions import Fraction
+from functools import cache
 
 import sympy as sp
 import pytest
@@ -28,6 +29,7 @@ from supersle.ns_algebra import (
     singularity_report,
     virasoro_level2_vector,
     word_level,
+    _pbw_ok,
     _row_echelon,
 )
 
@@ -515,3 +517,234 @@ def test_row_echelon_matches_elimination_loop_symbolic():
         assert row.keys() == want[pivot].keys(), pivot
         for m, s in row.items():
             assert sp.cancel(want[pivot][m] - s) == 0, (pivot, m)
+
+
+def test_symbolic_chi_has_one_obstruction():
+    # for free (c, Delta) only G_{3/2} fails, by -1/3 of the residual
+    params = ModuleParams(CSYM, sp.Symbol("D"))
+    ok, obstructions = is_singular(singular_vector_32(params))
+    assert not ok and [m for m, _ in obstructions] == [G(Fraction(3, 2))]
+    res = obstructions[0][1]
+    assert res.entries.keys() == {()}
+    assert res == vec(params, {(): -singular_condition_residual(params) / 3})
+
+
+# -- the ground-domain engine against the expression-tree engine ---------------
+
+
+@cache
+def expr_bracket_terms(a, b, c):
+    """[a, b] (anticommutator if both odd) as ((scalar, Mode-or-None), ...)."""
+    out = []
+    if a.kind == "L" and b.kind == "L":
+        n, m = sp.Rational(a.index), sp.Rational(b.index)
+        out.append((n - m, L(a.index + b.index)))
+        if a.index + b.index == 0:
+            central = c / 12 * n * (n**2 - 1)
+            if central != 0:
+                out.append((central, None))
+    elif a.kind == "L" and b.kind == "G":
+        n, r = sp.Rational(a.index), sp.Rational(b.index)
+        out.append((n / 2 - r, G(a.index + b.index)))
+    elif a.kind == "G" and b.kind == "L":
+        # [G_r, L_n] = -[L_n, G_r]
+        n, r = sp.Rational(b.index), sp.Rational(a.index)
+        out.append((-(n / 2 - r), G(a.index + b.index)))
+    else:
+        r, s = sp.Rational(a.index), sp.Rational(b.index)
+        out.append((sp.Integer(2), L(a.index + b.index)))
+        if a.index + b.index == 0:
+            central = c / 3 * (r**2 - sp.Rational(1, 4))
+            if central != 0:
+                out.append((central, None))
+    out = [(sp.expand(s), m) for s, m in out]
+    return tuple((s, m) for s, m in out if s != 0 or m is None)
+
+
+class ExprModule:
+    """Normal ordering on sympy expression scalars, every entry re-expanded;
+    kept as a reference for the ground-domain engine of VermaModule."""
+
+    def __init__(self, params):
+        self.params = params
+        self._cache = {}
+
+    def act_mode(self, m, mono):
+        key = (m, mono)
+        if key in self._cache:
+            return self._cache[key]
+        c, delta = self.params.c, self.params.delta
+        out = {}
+        if m.lowering and (not mono or _pbw_ok(m, mono[0])):
+            # already PBW-ordered; words above the level cutoff are trimmed
+            if word_level((m,) + mono) <= self.params.level_cutoff:
+                out[(m,) + mono] = sp.S.One
+        elif not mono:
+            if m.kind == "L" and m.index == 0:
+                out[()] = delta
+            # annihilators (L_n n>=1, G_r r>=1/2) give zero
+        elif m == mono[0] and m.odd:
+            # G_r G_r = (1/2){G_r, G_r}
+            rest = mono[1:]
+            for scalar, bm in expr_bracket_terms(m, m, c):
+                scalar = scalar / 2
+                sub = {rest: scalar} if bm is None else {
+                    k: scalar * v for k, v in self.act_mode(bm, rest).items()}
+                for k, v in sub.items():
+                    out[k] = out.get(k, 0) + v
+        else:
+            first, rest = mono[0], mono[1:]
+            sigma = -1 if (m.odd and first.odd) else 1
+            for mid, s1 in self.act_mode(m, rest).items():
+                for fin, s2 in self.act_mode(first, mid).items():
+                    out[fin] = out.get(fin, 0) + sigma * s1 * s2
+            for scalar, bm in expr_bracket_terms(m, first, c):
+                sub = {rest: scalar} if bm is None else {
+                    k: scalar * v for k, v in self.act_mode(bm, rest).items()}
+                for k, v in sub.items():
+                    out[k] = out.get(k, 0) + v
+        out = {k: sp.expand(v) for k, v in out.items()}
+        out = {k: v for k, v in out.items() if v != 0}
+        self._cache[key] = out
+        return out
+
+    def act_word(self, word, mono):
+        state = {tuple(mono): sp.S.One}
+        for m in reversed(tuple(word)):
+            nxt = {}
+            for mo, s in state.items():
+                for k, v in self.act_mode(m, mo).items():
+                    nxt[k] = nxt.get(k, 0) + s * v
+            state = {k: v for k, v in ((k, sp.expand(v)) for k, v in nxt.items()) if v != 0}
+        return state
+
+
+def adjoint(word):
+    """L_n^+ = L_-n, G_r^+ = G_-r, order reversed: a word of raising modes."""
+    return tuple((L if m.kind == "L" else G)(-m.index) for m in reversed(word))
+
+
+def engine_case(name):
+    if name == "symbolic":
+        return ModuleParams(CSYM, sp.Symbol("D")), "ZZ(c,D)"
+    if name == "symbolic-kappa":
+        p = params_from_kappa_ns(sp.Symbol("kappa", positive=True))
+        return p, "ZZ(kappa)"
+    if name == "sqrt2":
+        return ModuleParams(sp.sqrt(2), sp.sqrt(2)), "EX"
+    p = params_from_kappa_ns(sp.Rational(name.removesuffix("-detuned")))
+    if name.endswith("-detuned"):
+        p = ModuleParams(p.c, p.delta + sp.Rational(1, 2))
+    return p, "QQ"
+
+
+@pytest.mark.parametrize("name", ["1/3", "1", "2", "8/3", "7/4", "2-detuned",
+                                  "symbolic", "symbolic-kappa", "sqrt2"])
+def test_domain_engine_matches_expr_engine(name):
+    params, domain = engine_case(name)
+    cutoff = Fraction(11, 2)
+    params = ModuleParams(params.c, params.delta, cutoff)
+    module, reference = VermaModule(params), ExprModule(params)
+    assert str(module.domain) == domain
+    monos = [(), *singular_vector_32(params).entries]
+    words = pbw_words(cutoff)
+    for w in words + tuple(adjoint(w) for w in words):
+        for mono in monos:
+            got, want = module.act_word(w, mono), reference.act_word(w, mono)
+            assert got.keys() == want.keys(), (w, mono)
+            for k, s in want.items():
+                assert sp.expand(got[k] - s) == 0, (w, mono, k)
+
+
+@pytest.mark.parametrize("x", [0, 7, -3, Fraction(5, 4), Fraction(-1, 2),
+                               sp.Rational(8, 3), sp.Integer(-2)])
+def test_module_params_fast_path_matches_nsimplify(x):
+    want = sp.nsimplify(sp.sympify(x), rational=True)
+    params = ModuleParams(x, x)
+    for got in (params.c, params.delta):
+        assert got == want and str(got) == str(want) and type(got) is type(want)
+
+
+# -- is_singular: the scalar route against the apply route --------------------
+
+
+def apply_route(v, virasoro_only=False):
+    """is_singular with every raising mode applied through VermaModule.apply."""
+    module = VermaModule(v.params)
+    results = [(m, module.apply(AlgebraElement.from_mode(1, m), v))
+               for m in raising_modes(v.level(), virasoro_only)]
+    obstructions = [(m, res) for m, res in results if not res.is_zero()]
+    return not obstructions, obstructions
+
+
+def shown(result):
+    ok, obstructions = result
+    return ok, [(m, repr(res)) for m, res in obstructions]
+
+
+def scalar_route(v, monkeypatch, virasoro_only=False):
+    def refuse(*args):
+        raise AssertionError("is_singular went through apply")
+
+    with monkeypatch.context() as m:
+        m.setattr(VermaModule, "apply", refuse)
+        return is_singular(v, virasoro_only)
+
+
+def test_scalar_is_singular_matches_apply_route_on_grid(monkeypatch):
+    grid = [ModuleParams(sp.Rational(ck, 2), sp.Rational(dk, 4))
+            for dk in range(-8, 9) for ck in range(-10, 11)]
+    singular = [p for p in grid if singular_condition_residual(p) == 0]
+    assert len(grid) == 357 and singular
+    for params in grid[::7] + singular:
+        chi = singular_vector_32(params)
+        assert shown(scalar_route(chi, monkeypatch)) == shown(apply_route(chi))
+
+
+def test_scalar_is_singular_matches_apply_route_virasoro(monkeypatch):
+    kappas = [Fraction(p, q) for q in (1, 2, 3, 5) for p in (1, 7, 11, 13, 17)]
+    assert len(set(kappas)) == 20
+    for k in kappas:
+        v = virasoro_level2_vector(sp.Rational(k.numerator, k.denominator))
+        for virasoro_only in (True, False):
+            assert (shown(scalar_route(v, monkeypatch, virasoro_only))
+                    == shown(apply_route(v, virasoro_only))), (k, virasoro_only)
+
+
+@pytest.mark.parametrize("case", ["soul", "body-and-soul", "free-symbol"])
+def test_non_scalar_vector_goes_through_apply(case, monkeypatch):
+    params = ModuleParams(1, 2)
+    eta = make_generator(0, 1)
+    chi = singular_vector_32(params)
+    v = {"soul": chi.lmul(eta),
+         "body-and-soul": chi.lmul(GrassmannNumber.scalar(1, 1) + eta),
+         "free-symbol": chi.lmul(sp.Symbol("t"))}[case]
+    calls = []
+    apply = VermaModule.apply
+
+    def counted(self, elem, w):
+        calls.append(elem)
+        return apply(self, elem, w)
+
+    want = apply_route(v)
+    with monkeypatch.context() as m:
+        m.setattr(VermaModule, "apply", counted)
+        got = is_singular(v)
+    assert calls and not got[0]
+    assert shown(got) == shown(want)
+
+
+def test_projection_makes_few_expand_calls(monkeypatch):
+    quotient_projection(params_from_kappa_ns(1), Fraction(13, 2))
+    params = params_from_kappa_ns(sp.Rational(8, 3))
+    calls = []
+    expand = sp.expand
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(sp, "expand", counted)
+        quotient_projection(params, Fraction(13, 2))
+    assert len(calls) <= 10
