@@ -3,10 +3,12 @@
 A float-coefficient Grassmann number on n generators is held as a complex
 vector over the 2^n monomial masks; a batch of them is an array of shape
 (..., 2^n).  Products of two batches go through one sparse Koszul pair
-table per n, the float counterpart of ``GrassmannNumber.__mul__``; a
-constant times a batch is a signed gather of its rows.  Euler stepping, the
-closed forms and the Monte-Carlo transition matrices in ``supersle.sde`` all
-work in this format.
+table per n, the float counterpart of ``GrassmannNumber.__mul__``.  When
+the factors are known to vanish off some masks, the product can run through
+the table restricted to them, with the same non-zero bits; a constant times
+a batch is such a restriction with the constant folded in, a signed gather.
+Euler stepping, the closed forms and the Monte-Carlo transition matrices in
+``supersle.sde`` all work in this format.
 """
 
 from __future__ import annotations
@@ -49,23 +51,28 @@ def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms, starts, axis=-1)
 
 
-def _binv(A: np.ndarray) -> np.ndarray:
-    """Batched inverse via the Neumann series over the nilpotent soul."""
+def _binv(A: np.ndarray, chain=None) -> np.ndarray:
+    """Batched inverse via the Neumann series over the nilpotent soul.
+
+    ``chain`` lists the ``_restrict`` tables of soul^m soul for each soul^m
+    that can be non-zero; without it the full table runs until soul^m = 0.
+    """
     n = A.shape[-1].bit_length() - 1
     body = A[..., 0]
-    if np.any(np.abs(body) == 0.0):
+    if (body == 0.0).any():
         raise NotInvertible("vanishing body in batched inverse")
     minus_soul = -A
     minus_soul[..., 0] = 0.0
-    out = np.zeros_like(A)
+    out = np.zeros(A.shape, dtype=A.dtype)
     out[..., 0] = 1.0 / body
     power, bpow = minus_soul, body
-    for _ in range(n):
-        if not power.any():
+    for table in [None] * n if chain is None else chain:
+        if table is None and not power.any():
             break
         bpow = bpow * body
         out += power / bpow[..., None]
-        power = _bmul(power, minus_soul)
+        power = (_bmul(power, minus_soul) if table is None
+                 else _tmul(table, power, minus_soul))
     return out
 
 
@@ -81,21 +88,48 @@ def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
     return GrassmannNumber(n, FLOAT, terms)
 
 
-def _gather(c: np.ndarray):
-    """Left multiplication by the constant c as (dst, src, c_i sign, starts).
+def _restrict(n: int, lsup, rsup):
+    """The pair table restricted to left masks lsup and right masks rsup.
 
-    Keeps, in table order, the pair-table triples (i, k ^ i, sign) with
-    c_i != 0 and the whole group of a k that meets three of them, as numpy
-    sums that group pairwise; the run from starts[g] sums into dst[g].
+    Returns (dst, left, right, sign, starts): in table order, the triples
+    (i, j, sign) with i in lsup and j in rsup, and the whole group of a k
+    that meets three of them, as numpy sums that group pairwise.  For
+    batches of equal shape that vanish off lsup and rsup, the run from
+    starts[g] then sums to the bits of ``_bmul``'s dst[g] entry (up to the
+    sign of a zero); dst is the support of the product.
     """
-    left, right, signs, starts = _pair_table(c.shape[-1].bit_length() - 1)
-    live = c[left] != 0
+    left, right, signs, starts = _pair_table(n)
+    on = np.zeros((2, 1 << n), dtype=bool)
+    on[0, lsup] = True
+    on[1, rsup] = True
+    live = on[0, left] & on[1, right]
     crowded = np.add.reduceat(live, starts, dtype=int) > 2
     k = left | right
     keep = np.flatnonzero(live | crowded[k])
     dst = k[keep]
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    return dst[starts], right[keep], c[left[keep]] * signs[keep], starts
+    return dst[starts], left[keep], right[keep], signs[keep], starts
+
+
+def _tmul(table, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B through a restricted table, shaped like A; zero off its dst."""
+    dst, left, right, signs, starts = table
+    out = np.zeros(A.shape, dtype=complex)
+    out[..., dst] = np.add.reduceat(A[..., left] * B[..., right] * signs,
+                                    starts, axis=-1)
+    return out
+
+
+def _gather(c: np.ndarray):
+    """Left multiplication by the constant c as (dst, src, c_i sign, starts).
+
+    The ``_restrict`` table of c's non-zero masks and every right mask, with
+    c folded into the signs; the run from starts[g] sums into dst[g].
+    """
+    n = c.shape[-1].bit_length() - 1
+    dst, left, right, signs, starts = _restrict(n, np.flatnonzero(c),
+                                                np.arange(1 << n))
+    return dst, right, c[left] * signs, starts
 
 
 def _gather_add(gather, B: np.ndarray, out: np.ndarray) -> np.ndarray:

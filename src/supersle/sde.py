@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,8 @@ from supersle.grassmann import (
     NotInvertible,
     make_generator,
 )
-from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gnum, _gvec
+from supersle.kernel import (_binv, _bmul, _gather, _gather_add, _gnum,
+                             _gvec, _restrict, _tmul)
 from supersle.ns_algebra import (
     CutoffOverflow,
     AlgebraElement,
@@ -143,91 +145,163 @@ class SuperPath:
 # -- Euler--Maruyama integration --------------------------------------------------
 
 
-def _coefficient_table(fns, n: int):
-    """The coefficients of Laurent superfunctions ``fns`` for ``_eval_table``.
+def _check_brownian_dim(system_dim: int, path_dim: int):
+    if path_dim != system_dim:
+        raise ValueError(f"the SDE has {system_dim} Brownian components but "
+                         f"the driving path has {path_dim}")
 
-    Returns one ([(k, a_k)], [(k, b_k)]) pair per function, in dict order,
-    a_k the signed gather of the coefficient (its mask vector for k = 0),
-    and the lowest and highest exponent over all of them.
+
+def _coefficient_table(fns, n: int):
+    """The coefficients of Laurent superfunctions ``fns`` for ``_step_plan``.
+
+    Returns one ([(k, a_k)], [(k, b_k)]) pair of mask vectors per function,
+    in dict order, and the lowest and highest exponent over all of them.
     """
     coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
     if any(mask >> n for c in coeffs for mask in c.terms):
         raise ValueError(f"the SDE coefficients have {max(c.n for c in coeffs)} "
                          f"Grassmann generators but the initial point has only {n}")
-    table = [tuple([(k, _gather(_gvec(c, n)) if k else _gvec(c, n))
-                    for k, c in part.items()] for part in (F.a, F.b))
-             for F in fns]
+    table = [tuple([(k, _gvec(c, n)) for k, c in part.items()]
+                   for part in (F.a, F.b)) for F in fns]
     exps = [k for F in fns for k in (*F.a, *F.b)]
     return table, min(exps, default=0), max(exps, default=0)
 
 
-def _eval_table(table, lo: int, hi: int, Z: np.ndarray,
-                TH: np.ndarray) -> list:
-    """Every function of the table at batched points (..., 2^n).
+def _union(*supports) -> np.ndarray:
+    return np.array(sorted({int(m) for s in supports for m in s}), dtype=int)
 
-    One z-power ladder, and one inverse when ``lo`` < 0, serve them all; a
-    constant times z^k is a gather, so only theta b(z) multiplies two states.
+
+def _plan_part(part, sup, n: int):
+    """A part [(k, c_k)] as [(k, gather or c_0)], and the masks it reaches
+    from the masks sup[k] of the z powers."""
+    reach = _union(*(_restrict(n, np.flatnonzero(c), sup[k])[0] if k
+                     else np.flatnonzero(c) for k, c in part))
+    return [(k, _gather(c) if k else c) for k, c in part], reach
+
+
+_StepPlan = namedtuple("_StepPlan", "ladder chain fns zsup tsup")
+
+
+def _step_plan(table, lo: int, hi: int, n: int, zsup, tsup) -> _StepPlan:
+    """Restricted tables for ``_eval_table`` on the masks z and theta reach.
+
+    zsup and tsup, the masks of the initial batch, grow to the fixed point
+    of one Euler step.  The plan holds the (k, table) of the z^k ladder, the
+    Neumann chain of z^-1 (None for lo >= 0), per function its value if it
+    is constant, else its two ``_plan_part``s and the table of theta b(z)
+    (None when b vanishes), and the grown masks.
+    """
+    while True:
+        sup, chain, ladder, fns, reach = {1: zsup}, None, [], [], []
+        if lo < 0:
+            chain, soul = [], zsup[zsup > 0]
+            power, sup[-1] = soul, _union([0], soul)
+            while power.size:
+                chain.append(_restrict(n, power, soul))
+                power = chain[-1][0]
+                sup[-1] = _union(sup[-1], power)
+        for k in (*range(2, hi + 1), *range(-2, lo - 1, -1)):
+            s = 1 if k > 0 else -1
+            ladder.append((k, _restrict(n, sup[k - s], sup[s])))
+            sup[k] = ladder[-1][1][0]
+        for a, b in table:
+            (a, asup), (b, bsup) = (_plan_part(p, sup, n) for p in (a, b))
+            thb = _restrict(n, tsup, bsup) if bsup.size else None
+            if thb is None and not any(k for k, _c in a):
+                fns.append(a[0][1] if a else np.zeros(1 << n, dtype=complex))
+            else:
+                fns.append((a, b, thb))
+            reach.append(asup if thb is None else _union(asup, thb[0]))
+        grown = (_union(zsup, *reach[0::2]), _union(tsup, *reach[1::2]))
+        if grown[0].size == zsup.size and grown[1].size == tsup.size:
+            return _StepPlan(ladder, chain, fns, zsup, tsup)
+        zsup, tsup = grown
+
+
+def _eval_table(plan: _StepPlan, Z: np.ndarray, TH: np.ndarray) -> list:
+    """Every function of the plan at batched points (..., 2^n).
+
+    One z-power ladder, and one inverse when the plan has a chain, serve
+    them all; a constant times z^k is a gather, so only theta b(z)
+    multiplies two states.
     """
     pows = {1: Z}
-    for k in range(2, hi + 1):
-        pows[k] = _bmul(pows[k - 1], Z)
-    if lo < 0:
-        pows[-1] = _binv(Z)
-        for k in range(-2, lo - 1, -1):
-            pows[k] = _bmul(pows[k + 1], pows[-1])
+    if plan.chain is not None:
+        pows[-1] = _binv(Z, plan.chain)
+    for k, table in plan.ladder:
+        s = 1 if k > 0 else -1
+        pows[k] = _tmul(table, pows[k - s], pows[s])
+
+    def value(part):
+        acc = np.zeros(Z.shape, dtype=complex)
+        for k, coeff in part:
+            if k:
+                _gather_add(coeff, pows[k], acc)
+            else:
+                acc += coeff
+        return acc
+
     out = []
-    for a, b in table:
-        val, bsum = np.zeros_like(Z), np.zeros_like(Z)
-        for acc, part in ((val, a), (bsum, b)):
-            for k, coeff in part:
-                if k:
-                    _gather_add(coeff, pows[k], acc)
-                else:
-                    acc += coeff
-        if bsum.any():
-            val = val + _bmul(TH, bsum)
-        out.append(val)
+    for fn in plan.fns:
+        if not isinstance(fn, np.ndarray):  # else a constant function
+            a, b, thb = fn
+            fn = value(a)
+            if thb is not None:
+                fn += _tmul(thb, TH, value(b))
+        out.append(fn)
     return out
 
 
 def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
-             increments: np.ndarray, dt: float):
+             increments: np.ndarray, dt: float, history: bool = True):
     """Batched explicit Euler; increments shape (paths, steps, dim).
 
-    Returns (Z, TH) of shape (paths, steps+1, 2^n) and the first swallowing
-    step index per path (steps+1 when never swallowed).  Swallowed paths are
-    frozen at their last valid state.
+    Returns (Z, TH) of shape (paths, steps+1, 2^n), or (paths, 1, 2^n) for
+    the terminal states only without ``history``, and the first swallowing
+    step index per path (steps+1 when never swallowed).  Swallowed paths
+    are frozen at their last valid state.  Every step runs on the masks the
+    batch can reach (``_step_plan``).
     """
     paths, steps, dim = increments.shape
+    _check_brownian_dim(len(system.diffusion), dim)
     fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
-    table, lo, hi = _coefficient_table(fns, z0.shape[-1].bit_length() - 1)
-    Z = np.zeros((paths, steps + 1, z0.shape[-1]), dtype=complex)
+    n = z0.shape[-1].bit_length() - 1
+    table, lo, hi = _coefficient_table(fns, n)
+    plan = _step_plan(table, lo, hi, n, np.flatnonzero(z0.any(axis=0)),
+                      np.flatnonzero(th0.any(axis=0)))
+    Z = np.zeros((paths, steps + 1 if history else 1, 1 << n), dtype=complex)
     TH = np.zeros_like(Z)
     Z[:, 0] = z0
     TH[:, 0] = th0
     swallowed = np.full(paths, steps + 1, dtype=int)
     z = Z[:, 0].copy()
     th = TH[:, 0].copy()
+    dBs = increments.transpose(1, 2, 0)[..., None]
+    active = None  # None while no path is swallowed
     for k in range(steps):
         if lo < 0:
-            hit = (np.abs(z[:, 0]) < _SWALLOW_EPS) & (swallowed > steps)
-            swallowed[hit] = k
-        active = swallowed > steps
-        if not active.any():
-            Z[:, k + 1:] = z[:, None, :]
-            TH[:, k + 1:] = th[:, None, :]
-            return Z, TH, swallowed
-        zd, td, *diffusion = _eval_table(table, lo, hi, z, th)
+            hit = np.abs(z[:, 0]) < _SWALLOW_EPS
+            if hit.any():
+                swallowed[hit & (swallowed > steps)] = k
+                active = swallowed > steps
+                if not active.any():
+                    Z[:, k + 1:] = z[:, None, :]
+                    TH[:, k + 1:] = th[:, None, :]
+                    break
+        zd, td, *diffusion = _eval_table(plan, z, th)
         znew = z + dt * zd
         tnew = th + dt * td
-        for i in range(dim):
-            dB = increments[:, k, i][:, None]
+        for i, dB in enumerate(dBs[k]):
             znew = znew + dB * diffusion[2 * i]
             tnew = tnew + dB * diffusion[2 * i + 1]
-        z = np.where(active[:, None], znew, z)
-        th = np.where(active[:, None], tnew, th)
-        Z[:, k + 1] = z
-        TH[:, k + 1] = th
+        if active is None:
+            z, th = znew, tnew
+        else:
+            z = np.where(active[:, None], znew, z)
+            th = np.where(active[:, None], tnew, th)
+        if history:
+            Z[:, k + 1], TH[:, k + 1] = z, th
+    Z[:, -1], TH[:, -1] = z, th  # the only row without history
     return Z, TH, swallowed
 
 
@@ -285,6 +359,7 @@ def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float,
 
 def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
     """Exact solution of the one-Brownian graded evolution along the path."""
+    _check_brownian_dim(1, path.dim)
     z0, th0 = _point_vectors(init, 4)
     if abs(z0[0]) == 0.0:
         raise NotInvertible("initial z must have non-zero body")
@@ -343,8 +418,7 @@ def _cf32alt_state(z0: np.ndarray, th0: np.ndarray, kappa: float,
 def closed_form_32alt(init: SuperPoint, path: BrownianPath,
                       kappa) -> SuperPath:
     """Exact solution of the two-Brownian graded evolution along the path."""
-    if path.dim != 2:
-        raise ValueError("two Brownian components required")
+    _check_brownian_dim(2, path.dim)
     z0, th0 = _point_vectors(init, 2)
     B1, B2 = path.values
     powers, P = _inverse_body_powers(z0, float(kappa), B1, B2)
@@ -481,7 +555,8 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
     for d, inc in zip(dts, incs):
         steps = inc.shape[1]
         Z, TH, swallowed = _em_core(system, np.tile(z0, (n_paths, 1)),
-                                    np.tile(th0, (n_paths, 1)), inc, d)
+                                    np.tile(th0, (n_paths, 1)), inc, d,
+                                    history=False)
         if np.any(swallowed <= steps):
             raise SwallowedPoint(float(np.min(swallowed)) * d)
         err = np.maximum(np.max(np.abs(Z[:, -1] - ref_z), axis=-1),
@@ -538,17 +613,12 @@ def _element_data(elem: AlgebraElement):
 
 def _reachable_masks(elements):
     """Closure of coefficient masks under right multiplication."""
-    masks = {0}
-    changed = True
-    while changed:
-        changed = False
-        for _u, mtable in (t for e in elements for t in e):
-            for mu in mtable:
-                for m in list(masks):
-                    if m & mu == 0 and (m | mu) not in masks:
-                        masks.add(m | mu)
-                        changed = True
-    return sorted(masks)
+    mus = sorted({mu for e in elements for _u, mtable in e for mu in mtable})
+    n, masks = max(mus, default=0).bit_length(), np.zeros(1, dtype=int)
+    while ((grown := _union(masks, _restrict(n, masks, mus)[0])).size
+           > masks.size):
+        masks = grown
+    return masks.tolist()
 
 
 def _right_multiplication_matrix(element, words, masks,

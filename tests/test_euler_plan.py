@@ -1,0 +1,269 @@
+"""Euler on the reachable masks against the dense step, bit for bit.
+
+``dense_coefficient_table``, ``dense_eval_table`` and ``dense_em_core`` are
+copies of the Euler step before it was restricted to the reachable masks:
+every state product runs through the whole pair table, every gather over all
+masks, and swallowed paths are frozen by ``np.where`` at every step.  The
+restricted step must give the same Z and TH down to the raw bits, signed
+zeros included.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from supersle.cli import _initial_point
+from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
+from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gvec
+from supersle.sde import (
+    _coefficient_table,
+    _em_core,
+    _point_vectors,
+    _step_plan,
+    convergence_32,
+    convergence_32alt,
+)
+from supersle.superfield import LaurentSuperfunction, SuperPoint
+from supersle.walk import (
+    SdeSystem,
+    WalkSpec,
+    sde_system,
+    spec_32,
+    spec_32alt,
+)
+
+SWALLOW_EPS = 1e-6
+
+
+def dense_coefficient_table(fns, n):
+    table = [tuple([(k, _gather(_gvec(c, n)) if k else _gvec(c, n))
+                    for k, c in part.items()] for part in (F.a, F.b))
+             for F in fns]
+    exps = [k for F in fns for k in (*F.a, *F.b)]
+    return table, min(exps, default=0), max(exps, default=0)
+
+
+def dense_eval_table(table, lo, hi, Z, TH):
+    pows = {1: Z}
+    for k in range(2, hi + 1):
+        pows[k] = _bmul(pows[k - 1], Z)
+    if lo < 0:
+        pows[-1] = _binv(Z)
+        for k in range(-2, lo - 1, -1):
+            pows[k] = _bmul(pows[k + 1], pows[-1])
+    out = []
+    for a, b in table:
+        val, bsum = np.zeros_like(Z), np.zeros_like(Z)
+        for acc, part in ((val, a), (bsum, b)):
+            for k, coeff in part:
+                if k:
+                    _gather_add(coeff, pows[k], acc)
+                else:
+                    acc += coeff
+        if bsum.any():
+            val = val + _bmul(TH, bsum)
+        out.append(val)
+    return out
+
+
+def dense_em_core(system, z0, th0, increments, dt):
+    paths, steps, dim = increments.shape
+    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+    table, lo, hi = dense_coefficient_table(fns,
+                                            z0.shape[-1].bit_length() - 1)
+    Z = np.zeros((paths, steps + 1, z0.shape[-1]), dtype=complex)
+    TH = np.zeros_like(Z)
+    Z[:, 0] = z0
+    TH[:, 0] = th0
+    swallowed = np.full(paths, steps + 1, dtype=int)
+    z = Z[:, 0].copy()
+    th = TH[:, 0].copy()
+    for k in range(steps):
+        if lo < 0:
+            hit = (np.abs(z[:, 0]) < SWALLOW_EPS) & (swallowed > steps)
+            swallowed[hit] = k
+        active = swallowed > steps
+        if not active.any():
+            Z[:, k + 1:] = z[:, None, :]
+            TH[:, k + 1:] = th[:, None, :]
+            return Z, TH, swallowed
+        zd, td, *diffusion = dense_eval_table(table, lo, hi, z, th)
+        znew = z + dt * zd
+        tnew = th + dt * td
+        for i in range(dim):
+            dB = increments[:, k, i][:, None]
+            znew = znew + dB * diffusion[2 * i]
+            tnew = tnew + dB * diffusion[2 * i + 1]
+        z = np.where(active[:, None], znew, z)
+        th = np.where(active[:, None], tnew, th)
+        Z[:, k + 1] = z
+        TH[:, k + 1] = th
+    return Z, TH, swallowed
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def used_masks(A):
+    return set(np.flatnonzero(A.reshape(-1, A.shape[-1]).any(axis=0)).tolist())
+
+
+def assert_same_as_dense(system, z0, th0, increments, dt):
+    """Restricted and dense runs agree bit for bit; returns the run."""
+    Z, TH, swallowed = _em_core(system, z0, th0, increments, dt)
+    dZ, dTH, dswallowed = dense_em_core(system, z0, th0, increments, dt)
+    assert np.array_equal(swallowed, dswallowed)
+    assert np.array_equal(bits(Z), bits(dZ))
+    assert np.array_equal(bits(TH), bits(dTH))
+    zT, thT, tswallowed = _em_core(system, z0, th0, increments, dt,
+                                   history=False)
+    assert zT.shape == (z0.shape[0], 1, z0.shape[-1])
+    assert np.array_equal(tswallowed, swallowed)
+    assert np.array_equal(bits(zT[:, 0]), bits(Z[:, -1]))
+    assert np.array_equal(bits(thT[:, 0]), bits(TH[:, -1]))
+    return Z, TH, swallowed
+
+
+def plan_for(system, z0, th0):
+    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+    n = z0.shape[-1].bit_length() - 1
+    table, lo, hi = _coefficient_table(fns, n)
+    return _step_plan(table, lo, hi, n, np.flatnonzero(z0.any(axis=0)),
+                      np.flatnonzero(th0.any(axis=0)))
+
+
+def batch(init, width, dim, steps, dt, seed):
+    z0, th0 = _point_vectors(init)
+    rng = np.random.default_rng(seed)
+    increments = rng.normal(0.0, np.sqrt(dt), size=(width, steps, dim))
+    return np.tile(z0, (width, 1)), np.tile(th0, (width, 1)), increments
+
+
+def point(n, z, theta_index, soul=None):
+    zg = GrassmannNumber.scalar(z, n, FLOAT)
+    if soul is not None:
+        zg = zg + GrassmannNumber(n, FLOAT, soul)
+    return SuperPoint(zg, make_generator(theta_index, n, FLOAT))
+
+
+def walk_spec(n):
+    """The 7- and 8-generator walk files of the CLI tests."""
+    return WalkSpec.from_json({
+        "n": n, "b": 1, "alpha0": {"-1": {"y": "1"}},
+        "beta": [{"-1": {"y": "1", "eta": f"1*p0 + 1*p{n - 1}"}}]}, FLOAT)
+
+
+CASES = {
+    "32": (sde_system(spec_32(2.0, FLOAT)), point(4, 2.0, 3), 1),
+    "32-soul": (sde_system(spec_32(2.0, FLOAT)),
+                point(4, 2.0, 3, {0b0011: 0.3, 0b1100: -0.2j}), 1),
+    "32alt": (sde_system(spec_32alt(1.0, FLOAT)), point(2, 2.0, 1), 2),
+    "32alt-soul": (sde_system(spec_32alt(1.0, FLOAT)),
+                   point(2, 0.5, 1, {0b11: 0.7}), 2),
+    **{f"walk{n}": (sde_system(walk_spec(n)),
+                    _initial_point(walk_spec(n), 2.0), 1) for n in (7, 8)},
+}
+
+
+@pytest.mark.parametrize("width", [1, 50])
+@pytest.mark.parametrize("name", list(CASES))
+def test_matches_dense_step(name, width):
+    system, init, dim = CASES[name]
+    z0, th0, inc = batch(init, width, dim, 60, 1e-2, 17)
+    Z, TH, _ = assert_same_as_dense(system, z0, th0, inc, 1e-2)
+    plan = plan_for(system, z0, th0)
+    assert used_masks(Z) <= set(plan.zsup.tolist())
+    assert used_masks(TH) <= set(plan.tsup.tolist())
+
+
+def test_spec_32_reachable_masks():
+    system, init, _dim = CASES["32"]
+    plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
+    assert plan.zsup.tolist() == [0, 3, 12, 15]
+    assert plan.tsup.tolist() == [4, 7, 8]
+    system, init, _dim = CASES["32alt"]
+    plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
+    assert (plan.zsup.tolist(), plan.tsup.tolist()) == ([0, 3], [1, 2])
+
+
+@pytest.mark.parametrize("width", [1, 50])
+def test_swallowed_paths_match_dense(width):
+    # 32alt moves the body of z by -(dB1 + i dB2): path 0 starts inside
+    # the swallowing ball, the last path is driven into it at step 4
+    system, init, dim = CASES["32alt-soul"]
+    z0, th0, inc = batch(init, width, dim, 40, 1e-2, 5)
+    z0[0, 0] = 1e-8
+    if width > 1:
+        inc[-1] = 0.0
+        inc[-1, 3, 0] = 0.5 - 1e-7
+    _Z, _TH, swallowed = assert_same_as_dense(system, z0, th0, inc, 1e-2)
+    assert swallowed[0] == 0
+    if width > 1:
+        assert swallowed[-1] == 4
+        assert np.all(swallowed[1:-1] == 41)
+
+
+@st.composite
+def laurent_systems(draw):
+    """A random SDE system with Laurent coefficients, exponents -2..2."""
+    n = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grassmann():
+        masks = rng.choice(1 << n, size=rng.integers(1, 3), replace=False)
+        return GrassmannNumber(n, FLOAT, {
+            int(m): complex(*(0.5 * rng.normal(size=2))) for m in masks})
+
+    def part():
+        exps = rng.choice(np.arange(-2, 3), size=rng.integers(0, 3),
+                          replace=False)
+        return {int(k): grassmann() for k in exps}
+
+    def function():
+        return LaurentSuperfunction(part(), part())
+
+    system = SdeSystem(drift=(function(), function()),
+                       diffusion=tuple((function(), function())
+                                       for _ in range(dim)))
+    evens = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 0]
+    soul = {int(rng.choice(evens)): 0.3} if evens else None
+    init = point(n, complex(2.0, rng.normal()), int(rng.integers(n)), soul)
+    width = draw(st.sampled_from([1, 50]))
+    return system, init, dim, width, int(rng.integers(2**31))
+
+
+@settings(deadline=None, max_examples=40)
+@given(laurent_systems())
+def test_random_laurent_systems_match_dense(case):
+    system, init, dim, width, seed = case
+    z0, th0, inc = batch(init, width, dim, 20, 1e-2, seed)
+    with np.errstate(all="ignore"):
+        # an overflowing run differs off the reachable masks, where the
+        # dense step turns 0 * inf into NaN
+        dZ, dTH, _ = dense_em_core(system, z0, th0, inc, 1e-2)
+        assume(np.isfinite(dZ).all() and np.isfinite(dTH).all())
+        Z, TH, _ = assert_same_as_dense(system, z0, th0, inc, 1e-2)
+    plan = plan_for(system, z0, th0)
+    assert used_masks(Z) <= set(plan.zsup.tolist())
+    assert used_masks(TH) <= set(plan.tsup.tolist())
+
+
+@pytest.mark.parametrize("study, kappa, init, paths", [
+    (convergence_32, 2.0, point(4, 2.0, 3), 100),
+    (convergence_32alt, 1.0, point(2, 2.0, 1), 200),
+], ids=["convergence_32", "convergence_32alt"])
+def test_convergence_memory(study, kappa, init, paths):
+    # the Euler runs keep terminal states only: no (paths, steps+1, 2^n)
+    # history at dt = 1e-4
+    tracemalloc.start()
+    try:
+        rep = study(kappa, init, 0.1, [1e-2, 1e-3, 1e-4], paths, 3)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.isfinite(rep["mean_error"]).all()

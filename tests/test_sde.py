@@ -47,6 +47,7 @@ from supersle.sde import (
     write_superpath_csv,
     _coefficient_table,
     _eval_table,
+    _step_plan,
     _fill_hull,
     _element_data,
     _reachable_masks,
@@ -264,7 +265,9 @@ class TestCoefficientTable:
                        for p in points])
         table, lo, hi = _coefficient_table(fns, n)
         assert (lo, hi) == (-3, 2)
-        values = _eval_table(table, lo, hi, Z, TH)
+        plan = _step_plan(table, lo, hi, n, np.flatnonzero(Z.any(axis=0)),
+                          np.flatnonzero(TH.any(axis=0)))
+        values = _eval_table(plan, Z, TH)
         assert len(values) == len(fns)
         for F, got in zip(fns, values):
             for p, row in zip(points, got):
@@ -492,6 +495,25 @@ def soul_only_32():
 def test_refused_input(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call, system_dim, path_dim", [
+    (lambda path: euler_maruyama(sde_system(spec_32alt(1.0, FLOAT)),
+                                 init_32alt(), path), 2, 1),
+    (lambda path: euler_maruyama(sde_system(spec_32(2.0, FLOAT)),
+                                 init_32(), path), 1, 2),
+    (lambda path: closed_form_32(init_32(), path, 2.0), 1, 2),
+    (lambda path: conservation_check_32(init_32(), path, 2.0), 1, 2),
+    (lambda path: closed_form_32alt(init_32alt(), path, 1.0), 2, 1),
+], ids=["euler-32alt-one-dimensional-path", "euler-32-two-dimensional-path",
+        "closed_form_32-two-dimensional-path",
+        "conservation_check_32-two-dimensional-path",
+        "closed_form_32alt-one-dimensional-path"])
+def test_brownian_dimension_mismatch(call, system_dim, path_dim):
+    path = BrownianPath.sample(path_dim, 1e-2, 10, 1)
+    with pytest.raises(ValueError, match=f"has {system_dim} Brownian "
+                       f"components but the driving path has {path_dim}"):
+        call(path)
 
 
 class TestSuperconformalMaps:
