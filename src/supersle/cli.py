@@ -299,6 +299,18 @@ def _parse_bounds(text):
     return parts
 
 
+def _loewner_rows(z_grid, res) -> list:
+    """Header and one row per grid point; a nan time or final_g part is empty."""
+    cols = [a.ravel().tolist() for a in (z_grid.real, z_grid.imag,
+                                         res.swallowed_time, res.final_g.real,
+                                         res.final_g.imag)]
+    rows = ["re,im,swallowed_time,final_g_re,final_g_im"]
+    for x, y, t, u, v in zip(*cols):
+        rows.append(f"{x!r},{y!r},{'' if t != t else repr(t)},"
+                    f"{'' if u != u else repr(u)},{'' if v != v else repr(v)}")
+    return rows
+
+
 def cmd_trace(args) -> int:
     kappa = _parse_kappa(args.kappa, allow_zero=True)
     if not args.out:
@@ -329,15 +341,7 @@ def cmd_trace(args) -> int:
         res = sde_mod.loewner_flow(float(kappa), z_grid, args.T, args.dt,
                                    seed)
         raster = sde_mod.HullRaster(bounds=bounds, occupancy=res.swallowed)
-        suffix, rows = "_points.csv", [
-            "re,im,swallowed_time,final_g_re,final_g_im"]
-        for z, t, g in zip(z_grid.ravel(), res.swallowed_time.ravel(),
-                           res.final_g.ravel()):
-            rows.append(",".join([
-                repr(float(z.real)), repr(float(z.imag)),
-                "" if np.isnan(t) else repr(float(t)),
-                "" if np.isnan(g.real) else repr(float(g.real)),
-                "" if np.isnan(g.imag) else repr(float(g.imag))]))
+        suffix, rows = "_points.csv", _loewner_rows(z_grid, res)
     sde_mod.write_pgm(raster, args.out + ".pgm", config=config)
     lines = sde_mod._config_lines(config) + rows
     sde_mod._write_text(args.out + suffix, "\n".join(lines) + "\n")

@@ -495,12 +495,17 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
     eta = _gvec(spec.beta[0][-1][1], sol.n) / sk
     yeta = _bmul(y, eta)
     B = path.values[0]
-    w = sol.Z + (y[None, :] + _bmul(sol.TH, eta[None, :])) \
+
+    def product(A, C):  # A C on the masks where A and C live
+        return _tmul(_restrict(sol.n, np.flatnonzero(A.any(axis=0)),
+                               np.flatnonzero(C.any(axis=0))), A, C)
+
+    w = sol.Z + (y[None, :] + product(sol.TH, eta[None, :])) \
         * (sk * B[:, None])
     mu = sol.TH + sk * B[:, None] * eta[None, :]
     conserved = _bmul(th0[None, :], z0[None, :]) \
         + sol.times[:, None] * yeta[None, :]
-    residual = _bmul(mu, w) - conserved
+    residual = product(mu, w) - conserved
     return {
         "max_conservation_error": float(np.max(np.abs(residual))),
         "max_body_drift": float(np.max(np.abs(w[:, 0] - z0[0]))),
@@ -777,7 +782,7 @@ class LoewnerResult:
 
     z_grid: np.ndarray
     swallowed_time: np.ndarray  # nan where the point survived
-    final_g: np.ndarray         # nan where swallowed
+    final_g: np.ndarray         # nan+0j (imaginary part 0) where swallowed
 
     @property
     def swallowed(self) -> np.ndarray:
@@ -796,17 +801,21 @@ def loewner_flow(kappa, z_grid, T: float, dt: float, seed) -> LoewnerResult:
     sk = math.sqrt(float(kappa))
     B = BrownianPath.sample(1, dt, steps, seed).values[0]
     eps = 1e-3 * math.sqrt(dt)
-    g = z_grid.astype(complex).ravel().copy()
+    shift = sk * B
+    g = z_grid.astype(complex).ravel()  # a copy, stepped in place
     swallowed_time = np.full(g.shape, np.nan)
+    alive = np.arange(g.size)  # the points g still holds
     for k in range(steps):
-        active = np.isnan(swallowed_time)
-        f = g - sk * B[k]
-        hit = active & ((np.abs(f) < eps) | (g.imag < 0.0))
-        swallowed_time[hit] = k * dt
-        active &= ~hit
-        g[active] = g[active] + dt * 2.0 / f[active]
-    final = g.copy()
-    final[np.isfinite(swallowed_time)] = np.nan
+        f = g - shift[k]
+        hit = (np.abs(f) < eps) | (g.imag < 0.0)
+        if hit.any():
+            swallowed_time[alive[hit]] = k * dt
+            keep = ~hit
+            alive, g, f = alive[keep], g[keep], f[keep]
+        np.divide(dt * 2.0, f, out=f)
+        g += f
+    final = np.full(swallowed_time.shape, np.nan, dtype=complex)
+    final[alive] = g
     return LoewnerResult(z_grid=z_grid,
                          swallowed_time=swallowed_time.reshape(z_grid.shape),
                          final_g=final.reshape(z_grid.shape))
@@ -817,12 +826,12 @@ def _rasterize_polyline(points: np.ndarray, bounds, shape) -> np.ndarray:
     ny, nx = shape
     occ = np.zeros((ny, nx), dtype=bool)
     cell = min((xmax - xmin) / nx, (ymax - ymin) / ny)
-    samples = [points[0]]
-    for a, b in zip(points[:-1], points[1:]):
-        seg = abs(b - a)
-        k = max(1, int(seg / (0.5 * cell)) + 1)
-        samples.extend(a + (b - a) * (j / k) for j in range(1, k + 1))
-    pts = np.asarray(samples)
+    # segment s gets k[s] samples a + (b - a) * (j / k[s]), j = 1..k[s]
+    a, d = points[:-1], points[1:] - points[:-1]
+    k = (np.abs(d) / (0.5 * cell)).astype(int) + 1
+    seg = np.repeat(np.arange(k.size), k)
+    j = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(k) - k, k)
+    pts = np.concatenate([points[:1], a[seg] + d[seg] * (j / k[seg])])
     ix = np.floor((pts.real - xmin) / (xmax - xmin) * nx).astype(int)
     iy = np.floor((pts.imag - ymin) / (ymax - ymin) * ny).astype(int)
     keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from supersle import kernel
 from supersle import sde as sde_module
+from supersle.cli import _loewner_rows
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
-from supersle.kernel import _binv, _bmul, _gather, _gather_add
+from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gvec
 from supersle.ns_algebra import (
     CutoffOverflow,
     ModuleParams,
@@ -29,6 +31,7 @@ from supersle.sde import (
     BrownianPath,
     DenominatorVanishes,
     HullRaster,
+    LoewnerResult,
     SwallowedPoint,
     closed_form_32,
     closed_form_32_map,
@@ -49,6 +52,8 @@ from supersle.sde import (
     _eval_table,
     _step_plan,
     _fill_hull,
+    _point_vectors,
+    _rasterize_polyline,
     _element_data,
     _reachable_masks,
     _right_multiplication_matrix,
@@ -908,3 +913,181 @@ class TestWriters:
         data = json.loads(buf.getvalue())
         assert data["config"]["seed"] == 3
         assert data["report"]["ok"] is True
+
+
+# -- one-path layers against their earlier full-size forms, bit for bit ----------
+
+
+def dense_loewner_flow(kappa, z_grid, T, dt, seed):
+    """The Loewner flow stepping every grid point under full-grid masks."""
+    z_grid = np.asarray(z_grid, dtype=complex)
+    steps = round(T / dt)
+    sk = math.sqrt(float(kappa))
+    B = BrownianPath.sample(1, dt, steps, seed).values[0]
+    eps = 1e-3 * math.sqrt(dt)
+    g = z_grid.astype(complex).ravel().copy()
+    swallowed_time = np.full(g.shape, np.nan)
+    for k in range(steps):
+        active = np.isnan(swallowed_time)
+        f = g - sk * B[k]
+        hit = active & ((np.abs(f) < eps) | (g.imag < 0.0))
+        swallowed_time[hit] = k * dt
+        active &= ~hit
+        g[active] = g[active] + dt * 2.0 / f[active]
+    final = g.copy()
+    final[np.isfinite(swallowed_time)] = np.nan
+    return swallowed_time.reshape(z_grid.shape), final.reshape(z_grid.shape)
+
+
+def loewner_grid(grid, bounds):
+    xs = np.linspace(bounds[0], bounds[1], grid)
+    ys = np.linspace(bounds[2], bounds[3], grid)
+    return xs[None, :] + 1j * ys[:, None]
+
+
+class TestLoewnerSurvivorsOnly:
+    @pytest.mark.parametrize("kappa, grid, bounds, T, dt, seed", [
+        (2.0, 1, (-1.0, 1.0, 0.5, 2.0), 0.25, 1e-3, 1),
+        (2.0, 3, (-2.0, 2.0, 4.0 / 3, 2.0), 1.0, 1e-3, 3),
+        (0.0, 8, (-2.0, 2.0, 0.5, 2.0), 1.0, 1e-4, 1),
+        (8.0, 64, (-2.0, 2.0, 4.0 / 64, 2.0), 1.0, 1e-3, 5),
+    ])
+    def test_matches_full_grid_loop(self, kappa, grid, bounds, T, dt, seed):
+        z = loewner_grid(grid, bounds)
+        res = loewner_flow(kappa, z, T, dt, seed)
+        want_time, want_g = dense_loewner_flow(kappa, z, T, dt, seed)
+        assert res.swallowed_time.tobytes() == want_time.tobytes()
+        assert res.final_g.tobytes() == want_g.tobytes()
+        if grid == 64:
+            assert res.swallowed.sum() >= 100
+
+    def test_overshoot_swallowing_matches(self):
+        # 2 dt / |g|^2 = 8 sends the first step below the real axis, far
+        # from the driving point; the second step swallows it by g.imag < 0
+        z = np.array([0.03 + 0.04j, 1.0 + 1.0j])
+        res = loewner_flow(0.0, z, 0.05, 1e-2, 1)
+        want_time, want_g = dense_loewner_flow(0.0, z, 0.05, 1e-2, 1)
+        assert res.swallowed_time.tolist()[0] == 1e-2
+        assert res.swallowed.tolist() == [True, False]
+        assert res.swallowed_time.tobytes() == want_time.tobytes()
+        assert res.final_g.tobytes() == want_g.tobytes()
+
+
+def per_cell_loewner_rows(z_grid, res):
+    """The points CSV rows built cell by cell from numpy scalars."""
+    rows = ["re,im,swallowed_time,final_g_re,final_g_im"]
+    for z, t, g in zip(z_grid.ravel(), res.swallowed_time.ravel(),
+                       res.final_g.ravel()):
+        rows.append(",".join([
+            repr(float(z.real)), repr(float(z.imag)),
+            "" if np.isnan(t) else repr(float(t)),
+            "" if np.isnan(g.real) else repr(float(g.real)),
+            "" if np.isnan(g.imag) else repr(float(g.imag))]))
+    return rows
+
+
+class TestLoewnerRows:
+    def test_nan_and_signed_zero_cells(self):
+        z = np.array([[complex(-0.0, 0.5), complex(0.25, -0.0), 1e-300 + 2j,
+                       1.0 + 1.0j]])
+        res = LoewnerResult(
+            z_grid=z,
+            swallowed_time=np.array([[np.nan, 0.0, 0.125, 0.5]]),
+            final_g=np.array([[complex(-0.0, 1.5), complex(np.nan, 0.0),
+                               complex(np.nan, -0.0),
+                               complex(np.nan, np.nan)]]))
+        rows = _loewner_rows(z, res)
+        assert rows == per_cell_loewner_rows(z, res)
+        assert rows[1:] == ["-0.0,0.5,,-0.0,1.5", "0.25,-0.0,0.0,,0.0",
+                            "1e-300,2.0,0.125,,-0.0", "1.0,1.0,0.5,,"]
+
+    def test_swallowed_flow(self):
+        z = loewner_grid(32, (-2.0, 2.0, 4.0 / 32, 2.0))
+        res = loewner_flow(2.0, z, 1.0, 1e-3, 5)
+        assert res.swallowed.any() and not res.swallowed.all()
+        assert _loewner_rows(z, res) == per_cell_loewner_rows(z, res)
+
+
+def dense_conservation_check_32(init, path, kappa):
+    """conservation_check_32 with every product over the whole pair table."""
+    sol = closed_form_32(init, path, kappa)
+    sk = math.sqrt(float(kappa))
+    spec = spec_32(kappa, FLOAT)
+    z0, th0 = _point_vectors(init, 4)
+    y = _gvec(spec.beta[0][-1][0], sol.n) / sk
+    eta = _gvec(spec.beta[0][-1][1], sol.n) / sk
+    yeta = _bmul(y, eta)
+    B = path.values[0]
+    w = sol.Z + (y[None, :] + _bmul(sol.TH, eta[None, :])) \
+        * (sk * B[:, None])
+    mu = sol.TH + sk * B[:, None] * eta[None, :]
+    conserved = _bmul(th0[None, :], z0[None, :]) \
+        + sol.times[:, None] * yeta[None, :]
+    residual = _bmul(mu, w) - conserved
+    return {
+        "max_conservation_error": float(np.max(np.abs(residual))),
+        "max_body_drift": float(np.max(np.abs(w[:, 0] - z0[0]))),
+    }
+
+
+EVEN_SOULS_4 = [m for m in range(1, 16) if bin(m).count("1") % 2 == 0]
+ODD_MASKS_4 = [m for m in range(16) if bin(m).count("1") % 2]
+
+
+class TestConservationRestricted:
+    @settings(max_examples=25, deadline=None)
+    @given(soul=st.dictionaries(st.sampled_from(EVEN_SOULS_4),
+                                st.floats(-2.0, 2.0, allow_subnormal=False),
+                                min_size=1),
+           theta=st.dictionaries(st.sampled_from(ODD_MASKS_4),
+                                 st.floats(-2.0, 2.0, allow_subnormal=False)),
+           kappa=st.sampled_from([0.5, 2.0, 3.0]),
+           seed=st.integers(0, 2**16))
+    def test_matches_dense_products(self, soul, theta, kappa, seed):
+        init = SuperPoint(GrassmannNumber(4, FLOAT, {0: 2.0, **soul}),
+                          GrassmannNumber(4, FLOAT, {8: 1.0, **theta}))
+        path = BrownianPath.sample(1, 1e-3, 200, seed)
+        assert conservation_check_32(init, path, kappa) \
+            == dense_conservation_check_32(init, path, kappa)
+
+
+def loop_rasterize_polyline(points, bounds, shape):
+    """Polyline occupancy sampled segment by segment in a Python loop."""
+    xmin, xmax, ymin, ymax = bounds
+    ny, nx = shape
+    occ = np.zeros((ny, nx), dtype=bool)
+    cell = min((xmax - xmin) / nx, (ymax - ymin) / ny)
+    samples = [points[0]]
+    for a, b in zip(points[:-1], points[1:]):
+        seg = abs(b - a)
+        k = max(1, int(seg / (0.5 * cell)) + 1)
+        samples.extend(a + (b - a) * (j / k) for j in range(1, k + 1))
+    pts = np.asarray(samples)
+    ix = np.floor((pts.real - xmin) / (xmax - xmin) * nx).astype(int)
+    iy = np.floor((pts.imag - ymin) / (ymax - ymin) * ny).astype(int)
+    keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    occ[iy[keep], ix[keep]] = True
+    return occ
+
+
+class TestRasterizePolyline:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("grid", [1, 16, 128, 1024])
+    def test_matches_segment_loop(self, seed, grid):
+        values = BrownianPath.sample(2, 1e-3, 1000, seed).values
+        trace = math.sqrt(3.0) * (values[0] + 1j * values[1])
+        for bounds in ((float(trace.real.min()) - 0.1,
+                        float(trace.real.max()) + 0.1,
+                        float(trace.imag.min()) - 0.1,
+                        float(trace.imag.max()) + 0.1),
+                       (-0.5, 0.5, -0.25, 0.75)):  # clips the trace
+            got = _rasterize_polyline(trace, bounds, (grid, grid))
+            want = loop_rasterize_polyline(trace, bounds, (grid, grid))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("points", [[0j], [0j, 0j, 0j], [0j, 1 + 1j]])
+    def test_degenerate_polylines(self, points):
+        points = np.array(points)
+        bounds, shape = (-1.0, 2.0, -1.0, 2.0), (7, 5)
+        assert np.array_equal(_rasterize_polyline(points, bounds, shape),
+                              loop_rasterize_polyline(points, bounds, shape))
