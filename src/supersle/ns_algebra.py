@@ -448,12 +448,12 @@ def virasoro_level2_vector(kappa) -> VermaVector:
     })
 
 
-def params_from_kappa_virasoro(kappa, level_cutoff=Fraction(7, 2)) -> ModuleParams:
+def params_from_kappa_virasoro(kappa) -> ModuleParams:
     """c = 1 - 3(4-kappa)^2/(2 kappa), Delta = (6-kappa)/(2 kappa)."""
     kappa = _exact_kappa(kappa)
     c = 1 - sp.Rational(3, 2) * (4 - kappa) ** 2 / kappa
     delta = (6 - kappa) / (2 * kappa)
-    return ModuleParams(c, delta, level_cutoff)
+    return ModuleParams(c, delta)
 
 
 def is_singular_level2(v: VermaVector):
@@ -461,59 +461,37 @@ def is_singular_level2(v: VermaVector):
     return is_singular(v, virasoro_only=True)
 
 
-def params_from_kappa_ns(kappa, level_cutoff=Fraction(7, 2)) -> ModuleParams:
+def params_from_kappa_ns(kappa) -> ModuleParams:
     """c = 15/2 - 3(kappa + 1/kappa), Delta = (2-kappa)/(2 kappa)."""
     kappa = _exact_kappa(kappa)
     c = sp.Rational(15, 2) - 3 * (kappa + 1 / kappa)
     delta = (2 - kappa) / (2 * kappa)
-    return ModuleParams(c, delta, level_cutoff)
+    return ModuleParams(c, delta)
 
 
 # -- quotient by the singular submodule ---------------------------------------
+
+
+def _parts(budget: Fraction, least, strict: bool):
+    """Descending tuples of parts least, least+1, ... summing to at most
+    budget (none if budget < 0); a part repeats unless strict."""
+    if budget < 0:
+        return
+    yield ()
+    while least <= budget:
+        for rest in _parts(budget - least, least + 1 if strict else least,
+                           strict):
+            yield rest + (least,)
+        least += 1
 
 
 @cache
 def pbw_words(max_level: Fraction) -> tuple:
     """All PBW-ordered lowering words of level <= max_level (empty included)."""
     max_level = Fraction(max_level)
-    if max_level < 0:
-        return ()
-    l_parts = []
-
-    def gen_l(budget, max_part, acc):
-        l_parts.append(tuple(acc))
-        n = min(int(budget), max_part)
-        while n >= 1:
-            acc.append(n)
-            gen_l(budget - n, n, acc)
-            acc.pop()
-            n -= 1
-
-    gen_l(max_level, int(max_level) if max_level >= 1 else 0, [])
-
-    words = []
-    for lp in l_parts:
-        used = sum(lp)
-        g_sets = []
-
-        def gen_g(budget, max_r, acc):
-            g_sets.append(tuple(acc))
-            r = max_r
-            while r >= HALF:
-                if r <= budget:
-                    acc.append(r)
-                    gen_g(budget - r, r - 1, acc)
-                    acc.pop()
-                r -= 1
-
-        top = max_level - used
-        # largest admissible half-odd integer <= top
-        r0 = Fraction(int(2 * top), 2)
-        if r0.denominator == 1:
-            r0 -= HALF
-        gen_g(top, r0, [])
-        for gs in g_sets:
-            words.append(tuple(L(-n) for n in lp) + tuple(G(-r) for r in gs))
+    words = [tuple(L(-n) for n in lp) + tuple(G(-r) for r in gp)
+             for lp in _parts(max_level, 1, False)
+             for gp in _parts(max_level - sum(lp), HALF, True)]
     return tuple(sorted(words, key=lambda w: (word_level(w), len(w), _word_str(w))))
 
 

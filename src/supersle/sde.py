@@ -332,28 +332,21 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint,
 # -- closed-form solutions --------------------------------------------------------
 
 
-def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float,
-               times: np.ndarray, B: np.ndarray):
-    """Batched closed form of the one-Brownian evolution.
-
-    B has shape (paths, steps+1); returns (Z, TH) of shape
-    (paths, steps+1, 2^n).
-    """
+def _spec32_units(kappa: float, n: int):
+    """sqrt(kappa) and y, eta, y eta of the float spec 32 on n generators."""
     sk = math.sqrt(kappa)
-    spec = spec_32(kappa, FLOAT)
-    n = z0.shape[-1].bit_length() - 1
-    y = _gvec(spec.beta[0][-1][0], n) / sk
-    eta = _gvec(spec.beta[0][-1][1], n) / sk
-    zinv = _binv(z0[None, :])[0]
-    yeta = _bmul(y, eta)
-    th_yeta_zinv = _bmul(th0, _bmul(yeta, zinv))
-    yeta_zinv = _bmul(yeta, zinv)
-    cz = sk * (y + _bmul(th0, eta))
-    ct = sk * eta
-    Z = (z0[None, None, :] + times[None, :, None] * th_yeta_zinv[None, None, :]
-         - B[:, :, None] * cz[None, None, :])
-    TH = (th0[None, None, :] + times[None, :, None] * yeta_zinv[None, None, :]
-          - B[:, :, None] * ct[None, None, :])
+    y, eta = spec_32(kappa, FLOAT).beta[0][-1]
+    y, eta = _gvec(y, n) / sk, _gvec(eta, n) / sk
+    return sk, y, eta, _bmul(y, eta)
+
+
+def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float, t, B):
+    """Closed form of the one-Brownian evolution at times t and driving
+    values B, each a scalar or a (steps+1, 1) column; returns (Z, TH)."""
+    sk, y, eta, yeta = _spec32_units(kappa, z0.shape[-1].bit_length() - 1)
+    yeta_zinv = _bmul(yeta, _binv(z0[None, :])[0])
+    Z = z0 + t * _bmul(th0, yeta_zinv) - B * (sk * (y + _bmul(th0, eta)))
+    TH = th0 + t * yeta_zinv - B * (sk * eta)
     return Z, TH
 
 
@@ -363,9 +356,9 @@ def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
     z0, th0 = _point_vectors(init, 4)
     if abs(z0[0]) == 0.0:
         raise NotInvertible("initial z must have non-zero body")
-    B = path.values[0][None, :]
-    Z, TH = _cf32_core(z0, th0, float(kappa), path.times, B)
-    return SuperPath(times=path.times, Z=Z[0], TH=TH[0])
+    Z, TH = _cf32_core(z0, th0, float(kappa), path.times[:, None],
+                       path.values[0][:, None])
+    return SuperPath(times=path.times, Z=Z, TH=TH)
 
 
 def _inverse_body_powers(z0: np.ndarray, kappa: float, B1: np.ndarray,
@@ -488,12 +481,8 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
     worst drift of the body of w_t from the body of z.
     """
     sol = closed_form_32(init, path, kappa)
-    sk = math.sqrt(float(kappa))
-    spec = spec_32(kappa, FLOAT)
+    sk, y, eta, yeta = _spec32_units(float(kappa), sol.n)
     z0, th0 = _point_vectors(init, 4)
-    y = _gvec(spec.beta[0][-1][0], sol.n) / sk
-    eta = _gvec(spec.beta[0][-1][1], sol.n) / sk
-    yeta = _bmul(y, eta)
     B = path.values[0]
 
     def product(A, C):  # A C on the masks where A and C live
@@ -582,9 +571,8 @@ def convergence_32(kappa, init: SuperPoint, T: float, dt_list, n_paths: int,
     system = sde_system(spec_32(kappa, FLOAT))
 
     def cf(z0, th0, bp):
-        Z, TH = _cf32_core(z0, th0, float(kappa), np.array([bp.dt * bp.steps]),
-                           np.array([[bp.values[0, -1]]]))
-        return Z[0, 0], TH[0, 0]
+        return _cf32_core(z0, th0, float(kappa), bp.dt * bp.steps,
+                          bp.values[0, -1])
 
     return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed)
 

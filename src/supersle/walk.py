@@ -34,7 +34,6 @@ from supersle.grassmann import (
     ODD,
     CoefficientRing,
     GrassmannNumber,
-    format_grassmann,
     make_generator,
     parse_grassmann,
 )
@@ -96,24 +95,6 @@ class WalkSpec:
                 for c in pair:
                     return c.ring
         return EXACT
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        def table(t):
-            out = {}
-            for n, (y, eta) in sorted(t.items()):
-                entry = {}
-                if not y.is_zero():
-                    entry["y"] = format_grassmann(y)
-                if not eta.is_zero():
-                    entry["eta"] = format_grassmann(eta)
-                out[str(n)] = entry
-            return out
-
-        return {"n": self.num_generators, "b": self.brownian_dim,
-                "alpha0": table(self.alpha0),
-                "beta": [table(t) for t in self.beta]}
 
     @classmethod
     def from_json(cls, data: dict, ring: CoefficientRing = EXACT) -> "WalkSpec":

@@ -90,14 +90,20 @@ class TestSde:
         assert "walk spec" in err
 
     def test_spec_file_round_trip(self, capsys, tmp_path):
+        from supersle.cli import _load_spec
         from supersle.grassmann import FLOAT
         from supersle.walk import spec_32
 
+        # spec 32 at kappa = 2: y = sqrt(2) p0p1, eta = sqrt(2) p2
         f = tmp_path / "walk.json"
-        f.write_text(json.dumps(spec_32(2.0, FLOAT).to_json()))
+        f.write_text('{"n": 4, "b": 1, "alpha0": {"-2": {"eta": "-1*p0p1p2"}},'
+                     ' "beta": [{"-1": {"y": "1.4142135623730951*p0p1",'
+                     ' "eta": "1.4142135623730951*p2"}}]}')
         code, out, _ = run(capsys, "sde", "--spec", f"file:{f}",
                            "--kappa", "2", "--T", "0.01", "--seed", "1")
         assert code == 0
+        spec, want = _load_spec(f"file:{f}", 2, FLOAT), spec_32(2.0, FLOAT)
+        assert (spec.alpha0, spec.beta) == (want.alpha0, want.beta)
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "path.csv"
@@ -176,6 +182,60 @@ def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["sde", "--T", "0.01"], 2),
+    (["sde", "--T", "0.01", "--convergence", "--paths", "2"], 2),
+    (["trace", "--mode", "supertrace", "--T", "0.01"], 2),
+    (["trace", "--mode", "loewner", "--T", "0.01"], 2),
+    # the exact ring takes any rational kappa
+    (["verify"], 0),
+    (["martingale", "--T", "0.01", "--paths", "4"], 1),
+])
+def test_kappa_beyond_float_range(capsys, tmp_path, argv, expected):
+    dest = tmp_path / "x"
+    code, out, err = run(capsys, *argv, "--kappa", "1e400",
+                         "--out", str(dest))
+    assert code == expected
+    if code:
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+    if code == 2:
+        assert err == "error: kappa is beyond the float range\n"
+
+
+class PairTableBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("sde", ["--T", "0.01"]),
+    ("martingale", ["--T", "0.01", "--paths", "2"]),
+])
+@pytest.mark.parametrize("n", [12, 16])
+def test_walk_file_generator_bound(capsys, tmp_path, monkeypatch, command,
+                                   argv, n):
+    """A file spec above MAX_SPEC_GENERATORS = 12 exits 2 before any
+    3^n pair table is built; one at the bound goes on to build it."""
+    from supersle import kernel
+
+    def fail(n):
+        raise PairTableBuilt(n)
+
+    monkeypatch.setattr(kernel, "_pair_table", fail)
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({"n": n, "b": 1, "beta": [
+        {"-1": {"y": "1", "eta": f"1*p{n - 1}"}}]}))
+    argv = [command, "--spec", f"file:{spec}", "--kappa", "1", *argv]
+    if n <= 12:
+        with pytest.raises(PairTableBuilt):
+            main(argv)
+        return
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot load walk spec from '{spec}': {n} "
+                   f"generators, at most 12 allowed\n")
 
 
 @pytest.mark.parametrize("command, walk, argv, expected", [

@@ -314,6 +314,20 @@ class TestParamsFromKappa:
             params_from_kappa_ns(-1)
 
 
+def assert_pbw_basis(words, level):
+    """Distinct PBW-ordered lowering words of level <= level, by level."""
+    assert len(words) == len(set(words))
+    assert [word_level(w) for w in words] == sorted(word_level(w) for w in words)
+    for w in words:
+        assert word_level(w) <= level
+        ls = [m for m in w if m.kind == "L"]
+        gs = [m for m in w if m.kind == "G"]
+        assert tuple(w) == tuple(ls) + tuple(gs)
+        assert all(m.lowering for m in w)
+        assert all(ls[i].index <= ls[i + 1].index for i in range(len(ls) - 1))
+        assert all(gs[i].index < gs[i + 1].index for i in range(len(gs) - 1))
+
+
 class TestPbwWords:
     def test_cached_tuple(self):
         words = pbw_words(Fraction(5, 2))
@@ -332,15 +346,25 @@ class TestPbwWords:
         assert set(words) == expected
 
     def test_levels_and_order(self):
-        words = pbw_words(Fraction(7, 2))
-        assert len(words) == len(set(words))
-        for w in words:
-            assert word_level(w) <= Fraction(7, 2)
-            ls = [m for m in w if m.kind == "L"]
-            gs = [m for m in w if m.kind == "G"]
-            assert tuple(w) == tuple(ls) + tuple(gs)
-            assert all(ls[i].index <= ls[i + 1].index for i in range(len(ls) - 1))
-            assert all(gs[i].index < gs[i + 1].index for i in range(len(gs) - 1))
+        assert_pbw_basis(pbw_words(Fraction(7, 2)), Fraction(7, 2))
+
+    def test_counts_match_generating_function(self):
+        # the number of PBW words of level exactly k/2 is the coefficient of
+        # q^(k/2) in prod_{n>=1} (1 + q^(n-1/2)) / (1 - q^n)
+        top = 24
+        counts = [1] + [0] * top  # indexed by twice the level
+        for n in range(1, top // 2 + 1):
+            for k in range(2 * n, top + 1):
+                counts[k] += counts[k - 2 * n]
+        for r in range(1, top + 1, 2):
+            for k in range(top, r - 1, -1):
+                counts[k] += counts[k - r]
+        for k in range(top + 1):
+            words = pbw_words(Fraction(k, 2))
+            assert len(words) == sum(counts[:k + 1]), k
+            assert_pbw_basis(words, Fraction(k, 2))
+        assert [len(pbw_words(x)) for x in (Fraction(7, 2), Fraction(13, 2), 8)] \
+            == [24, 147, 315]
 
     def test_negative_level_is_empty(self):
         # the empty word has level 0, so no word lies below it

@@ -1091,3 +1091,105 @@ class TestRasterizePolyline:
         bounds, shape = (-1.0, 2.0, -1.0, 2.0), (7, 5)
         assert np.array_equal(_rasterize_polyline(points, bounds, shape),
                               loop_rasterize_polyline(points, bounds, shape))
+
+
+def batched_cf32_core(z0, th0, kappa, times, B):
+    """The spec-32 closed form over a (paths, steps+1) batch of driving
+    values B, returning (paths, steps+1, 2^n) arrays."""
+    sk = math.sqrt(kappa)
+    spec = spec_32(kappa, FLOAT)
+    n = z0.shape[-1].bit_length() - 1
+    y = _gvec(spec.beta[0][-1][0], n) / sk
+    eta = _gvec(spec.beta[0][-1][1], n) / sk
+    zinv = _binv(z0[None, :])[0]
+    yeta = _bmul(y, eta)
+    th_yeta_zinv = _bmul(th0, _bmul(yeta, zinv))
+    yeta_zinv = _bmul(yeta, zinv)
+    cz = sk * (y + _bmul(th0, eta))
+    ct = sk * eta
+    Z = (z0[None, None, :] + times[None, :, None] * th_yeta_zinv[None, None, :]
+         - B[:, :, None] * cz[None, None, :])
+    TH = (th0[None, None, :] + times[None, :, None] * yeta_zinv[None, None, :]
+          - B[:, :, None] * ct[None, None, :])
+    return Z, TH
+
+
+def batched_conservation_check_32(init, path, kappa):
+    """conservation_check_32 on the batched closed form, with y, eta and
+    y eta rebuilt from the spec."""
+    z0, th0 = _point_vectors(init, 4)
+    Z, TH = batched_cf32_core(z0, th0, float(kappa), path.times,
+                              path.values[0][None, :])
+    Z, TH, n = Z[0], TH[0], z0.shape[-1].bit_length() - 1
+    sk = math.sqrt(float(kappa))
+    spec = spec_32(kappa, FLOAT)
+    y = _gvec(spec.beta[0][-1][0], n) / sk
+    eta = _gvec(spec.beta[0][-1][1], n) / sk
+    yeta = _bmul(y, eta)
+    B = path.values[0]
+
+    def product(A, C):
+        return kernel._tmul(kernel._restrict(n, np.flatnonzero(A.any(axis=0)),
+                                             np.flatnonzero(C.any(axis=0))),
+                            A, C)
+
+    w = Z + (y[None, :] + product(TH, eta[None, :])) * (sk * B[:, None])
+    mu = TH + sk * B[:, None] * eta[None, :]
+    conserved = _bmul(th0[None, :], z0[None, :]) \
+        + path.times[:, None] * yeta[None, :]
+    residual = product(mu, w) - conserved
+    return {
+        "max_conservation_error": float(np.max(np.abs(residual))),
+        "max_body_drift": float(np.max(np.abs(w[:, 0] - z0[0]))),
+    }
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def init_soul_32(n=4):
+    """z0 with a soul on every even mask of p0..p3, theta with extra terms."""
+    z = {0: 2.0, 3: 0.7, 5: -0.3, 12: -0.4, 15: 0.25}
+    theta = {8: 1.0, 7: 0.5, 1: -0.6, 13: 0.2}
+    if n > 4:
+        z[1 | 16], theta[4 | 8 | 16] = 0.35, 0.45
+    return SuperPoint(GrassmannNumber(n, FLOAT, z),
+                      GrassmannNumber(n, FLOAT, theta))
+
+
+class TestClosedForm32Unbatched:
+    """The closed form, conservation check and convergence reference of spec
+    32 give the same bits as the batched closed form they replaced."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("init", [init_32(), init_soul_32(),
+                                      init_soul_32(5)])
+    def test_closed_form_and_conservation(self, init, seed, kappa):
+        path = BrownianPath.sample(1, 1e-3, 300, seed)
+        z0, th0 = _point_vectors(init, 4)
+        Z, TH = batched_cf32_core(z0, th0, kappa, path.times,
+                                  path.values[0][None, :])
+        got = closed_form_32(init, path, kappa)
+        assert np.array_equal(bits(got.Z), bits(Z[0]))
+        assert np.array_equal(bits(got.TH), bits(TH[0]))
+        assert conservation_check_32(init, path, kappa) \
+            == batched_conservation_check_32(init, path, kappa)
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("init", [init_32(), init_soul_32(),
+                                      init_soul_32(5)])
+    def test_convergence_reference(self, init, kappa):
+        def batched(z0, th0, bp):
+            Z, TH = batched_cf32_core(z0, th0, kappa,
+                                      np.array([bp.dt * bp.steps]),
+                                      np.array([[bp.values[0, -1]]]))
+            return Z[0, 0], TH[0, 0]
+
+        for seed in range(3):
+            want = sde_module.pathwise_convergence(
+                sde_system(spec_32(kappa, FLOAT)), batched, init, 0.1,
+                [1e-2, 1e-3], 12, seed)
+            assert convergence_32(kappa, init, 0.1, [1e-2, 1e-3], 12,
+                                  seed) == want
