@@ -7,7 +7,7 @@ table per n, the float counterpart of ``GrassmannNumber.__mul__``.  When
 the factors are known to vanish off some masks, the product can run through
 the table restricted to them, with the same non-zero bits; a constant times
 a batch is such a restriction with the constant folded in, a signed gather.
-Euler stepping, the closed forms and the Monte-Carlo transition matrices in
+Euler stepping, the closed forms and the Monte-Carlo mask closure in
 ``supersle.sde`` all work in this format.
 """
 

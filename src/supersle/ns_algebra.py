@@ -512,32 +512,33 @@ class Projector:
             out = out + VermaVector(self.params, entries)
         return out
 
-    def matrix(self, words):
-        """Dense float matrix of the projection in the given word basis."""
+    def matrix(self, words, columns):
+        """Dense float columns, of the words ``columns``, of the projection
+        in the given word basis."""
         import numpy as np
 
-        idx = {w: i for i, w in enumerate(words)}
-        P = np.eye(len(words), dtype=complex)
-        for pivot, row in self.rows:
-            if pivot not in idx:
-                continue
-            col = np.zeros(len(words), dtype=complex)
-            for m, s in row.items():
+        idx, rows = {w: i for i, w in enumerate(words)}, dict(self.rows)
+        P = np.zeros((len(words), len(columns)), dtype=complex)
+        for j, w in enumerate(columns):
+            P[idx[w], j] = 1.0
+            for m, s in rows.get(w, {}).items():
                 if m in idx:
-                    col[idx[m]] = complex(s)
-            P[:, idx[pivot]] -= col
+                    P[idx[m], j] -= complex(s)
         return P
 
 
 def quotient_projection(params: ModuleParams,
                         cutoff: Fraction | None = None,
-                        check_singular: bool = True) -> Projector:
+                        check_singular: bool = True,
+                        levels=None) -> Projector:
     """Projector annihilating the descendant span of |chi;3/2> up to cutoff.
 
     With ``check_singular=False`` the same construction is carried out for
     non-singular (c, Delta); the result then projects out the span generated
     by the level-3/2 vector built from the same formula, which is useful as a
-    detuned control in statistical tests.
+    detuned control in statistical tests.  Each descendant w chi sits at one
+    level, so the span is block-diagonal by level: ``levels`` keeps only the
+    descendants, and so the rows, at those levels.
     """
     if check_singular and singular_condition_residual(params) != 0:
         raise ValueError("(c, Delta) do not satisfy the singularity condition")
@@ -550,7 +551,8 @@ def quotient_projection(params: ModuleParams,
     chi = {mono: K.from_sympy(c.body())
            for mono, c in singular_vector_32(work).entries.items()}
     span = [row for row in (module._act(w, chi) for w in
-                            pbw_words(cutoff - Fraction(3, 2))) if row]
+                            pbw_words(cutoff - Fraction(3, 2)) if levels is None
+                            or word_level(w) + Fraction(3, 2) in levels) if row]
     return Projector(params, _row_echelon(span, pbw_words(cutoff), K))
 
 
@@ -562,7 +564,8 @@ def _row_echelon(span, order, K=None):
     rows = {i: {pos[m]: s for m, s in row.items()} for i, row in enumerate(span)}
     shape = (len(span), len(order))
     rref, pivots = (DomainMatrix.from_dict_sympy(*shape, rows).to_field()
-                    if K is None else DomainMatrix(rows, shape, K)).rref()
+                    if K is None else DomainMatrix(rows, shape, K)).rref(
+                        method="GJ")
     to_sympy, sdm = rref.domain.to_sympy, rref.to_sparse().rep
     return [(order[p], {order[j]: to_sympy(s) for j, s in sorted(sdm[i].items())})
             for i, p in enumerate(pivots)]

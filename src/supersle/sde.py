@@ -2,11 +2,11 @@
 
 Float-coefficient Grassmann states are the dense mask vectors of
 ``supersle.kernel``, so Euler--Maruyama stepping, closed-form evaluation
-and Monte-Carlo averaging are plain numpy array operations.  Monte-Carlo
-transition matrices are built from the kernel's products, with words
-normal-ordered by ``ns_algebra.VermaModule``.  The module also provides the
-classical Loewner flow and rasterized hulls of the scaled complex Brownian
-trace.
+and Monte-Carlo averaging are plain numpy array operations.  The Monte-Carlo
+check steps only the (word, mask) states reachable from the identity, with
+words normal-ordered by ``ns_algebra.VermaModule``.  The module also provides
+the classical Loewner flow and rasterized hulls of the scaled complex
+Brownian trace.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from supersle.grassmann import (
     CoefficientRing,
     GrassmannNumber,
     NotInvertible,
+    _merge_sign,
     make_generator,
 )
 from supersle.kernel import (_binv, _bmul, _gather, _gather_add, _gnum,
@@ -102,10 +103,10 @@ class BrownianPath:
 
     @classmethod
     def sample(cls, dim: int, dt: float, steps: int, seed) -> "BrownianPath":
-        rng = np.random.default_rng(seed)
         # draw step-major so a longer horizon extends a shorter one in place
-        inc = rng.normal(0.0, math.sqrt(dt), size=(steps, dim)).T.copy()
-        return cls(dt=dt, increments=inc)
+        inc = np.random.default_rng(seed).standard_normal((steps, dim))
+        inc *= math.sqrt(dt)
+        return cls(dt=dt, increments=inc.T.copy())
 
     def coarsen(self, k: int) -> "BrownianPath":
         """Same underlying path on a grid coarser by the integer factor k."""
@@ -596,12 +597,8 @@ def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
 
 def _element_data(elem: AlgebraElement):
     """[(word, {mask: complex coeff})] for a float-coefficient element."""
-    out = []
-    for word, g in elem.terms.items():
-        masks = {m: complex(c) for m, c in g.terms.items()}
-        if masks:
-            out.append((tuple(word), masks))
-    return out
+    return [(tuple(word), {m: complex(c) for m, c in g.terms.items()})
+            for word, g in elem.terms.items() if g.terms]
 
 
 def _reachable_masks(elements):
@@ -614,35 +611,44 @@ def _reachable_masks(elements):
     return masks.tolist()
 
 
-def _right_multiplication_matrix(element, words, masks,
-                                 module: VermaModule):
-    """Matrix of O -> O*E on the (word x mask) coefficient basis.
+def _reachable_transitions(elements, words, masks, module: VermaModule):
+    """The (word, mask) index states reachable from state 0 (identity word,
+    trivial mask) and each element's matrix of O -> O*E on them.
 
-    Each term u c psi_mu of E contributes kron(Pi^|mu| W_u, C): W_u is right
-    multiplication of the words by u, Pi flips the sign of odd words (psi_mu
-    moves past them) and C is right multiplication of the coefficients by
-    c psi_mu, taken from the pair table on the mask closure.  Products of
-    lowering words are normal-ordered by acting on the highest weight vector
-    of ``module``; no central term or weight enters, so the module's
-    (c, Delta) do not matter.
+    A term u c psi_mu of E sends w psi_m to Pi^|mu|(w) act_word(w + u) times
+    the Koszul-signed c psi_(m|mu): Pi flips odd words, which psi_mu moves
+    past, words above the cutoff are trimmed and the module's (c, Delta) do
+    not enter.  A state is reached through a non-zero accumulated entry.
     """
-    cutoff = module.params.level_cutoff
     widx = {w: i for i, w in enumerate(words)}
-    flip = np.array([-1.0 if word_parity(w) else 1.0 for w in words])
-    eye = np.eye(1 << max(masks).bit_length(), dtype=complex)
-    closure = np.ix_(masks, masks)
-    D = len(words) * len(masks)
-    R = np.zeros((D, D), dtype=complex)
-    for u, mtable in element:
-        W = np.zeros((len(words), len(words)))
-        for w in words:
-            if word_level(w) + word_level(u) <= cutoff:
-                for w2, c in module.act_word(w + u, ()).items():
-                    W[widx[w], widx[w2]] = float(c)
-        for mu, cval in mtable.items():
-            Wmu = flip[:, None] * W if bin(mu).count("1") & 1 else W
-            R += np.kron(Wmu, _bmul(eye, cval * eye[mu])[closure])
-    return R
+    midx = {m: j for j, m in enumerate(masks)}
+    rows, todo = {}, [(0, 0)]
+    while todo:
+        if (state := todo.pop()) in rows:
+            continue
+        (w, m), acc = (words[state[0]], masks[state[1]]), {}
+        for e, element in enumerate(elements):
+            for u, mtable in element:
+                if word_level(w) + word_level(u) > module.params.level_cutoff:
+                    continue
+                targets = module.act_word(w + u, ())
+                for mu, cval in mtable.items():
+                    if m & mu:
+                        continue
+                    sign = _merge_sign(m, mu) * (
+                        -1 if word_parity(w) and mu.bit_count() & 1 else 1)
+                    for w2, c in targets.items():
+                        key = (e, widx[w2], midx[m | mu])
+                        acc[key] = acc.get(key, 0j) + sign * float(c) * cval
+        rows[state] = {k: v for k, v in acc.items() if v}
+        todo += [k[1:] for k in rows[state]]
+    live = sorted(rows)
+    pos = {s: i for i, s in enumerate(live)}
+    mats = [np.zeros((len(live), len(live)), dtype=complex) for _ in elements]
+    for s in live:
+        for (e, *t), v in rows[s].items():
+            mats[e][pos[s], pos[tuple(t)]] = v
+    return live, mats
 
 
 def walk_elements(spec: WalkSpec, cutoff) -> list:
@@ -668,51 +674,46 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
     if cutoff is None:
         cutoff = params.level_cutoff
     cutoff = Fraction(cutoff)
-    alpha, *betas = walk_elements(spec, cutoff)
+    elements = walk_elements(spec, cutoff)
     words = pbw_words(cutoff)
-    masks = _reachable_masks([alpha, *betas])
+    masks = _reachable_masks(elements)
     nm = len(masks)
     module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
-    Ra = _right_multiplication_matrix(alpha, words, masks, module)
-    Rb = [_right_multiplication_matrix(b, words, masks, module)
-          for b in betas]
+    # step only the states reachable from O_0; the others stay exactly zero
+    live, (Ra, *Rb) = _reachable_transitions(elements, words, masks, module)
     steps = round(T / dt)
-    D = len(words) * nm
-    # Step only the states reachable from O_0 = identity word, trivial mask
-    # (state 0); the other columns stay exactly zero.
-    adj = np.any([R != 0 for R in (Ra, *Rb)], axis=0)
-    live = np.arange(D) == 0
-    while (grown := live | adj[live].any(axis=0)).sum() > live.sum():
-        live = grown
-    idx = np.flatnonzero(live)
-    Ra, *Rb = (R[np.ix_(idx, idx)] for R in (Ra, *Rb))
-    S = np.zeros((n_paths, len(idx)), dtype=complex)
+    S = np.zeros((n_paths, len(live)), dtype=complex)
     S[:, 0] = 1.0
     increments = np.empty((n_paths, steps, spec.brownian_dim))
-    for p in range(n_paths):
-        increments[p] = BrownianPath.sample(spec.brownian_dim, dt, steps,
-                                            [seed, p]).increments.T
+    for p in range(n_paths):  # BrownianPath.sample's draws for seed [seed, p]
+        np.random.default_rng([seed, p]).standard_normal(out=increments[p])
+    increments *= math.sqrt(dt)
     for k in range(steps):
         delta = dt * (S @ Ra)
         for i, R in enumerate(Rb):
             delta += increments[:, k, i][:, None] * (S @ R)
-        S = S + delta
-    Pm = quotient_projection(params, cutoff, check_singular=False).matrix(words)
-    full = np.zeros((n_paths, D), dtype=complex)
-    full[:, idx] = S
-    proj = np.einsum("vw,pwm->pvm", Pm, full.reshape(n_paths, len(words), nm))
-    v0 = np.zeros((len(words), nm), dtype=complex)
-    v0[0, 0] = 1.0
-    proj0 = np.einsum("vw,wm->vm", Pm, v0)
+        S += delta
+    Pm = quotient_projection(params, cutoff, check_singular=False,
+                             levels={word_level(words[i]) for i, _j in live}
+                             ).matrix(words, [words[i] for i, _j in live])
+    # statistics on the words that live states project onto (at least two
+    # columns: numpy sums a lone one over the paths pairwise, not in order)
+    cols = np.flatnonzero(Pm.any(axis=1))
+    if len(cols) * nm < 2:
+        cols = np.arange(len(words))
+    proj = np.zeros((n_paths, len(cols), nm), dtype=complex)
+    for s, (_i, j) in enumerate(live):
+        proj[:, :, j] += S[:, s, None] * Pm[cols, s]
+    proj0 = np.zeros((len(cols), nm), dtype=complex)
+    proj0[0, 0] = 1.0  # O_0 projects to itself: chi's span starts at 3/2
     drifts = (proj - proj0[None, :, :]) / (T if T > 0 else 1.0)
-    terminal = proj.mean(axis=0)
-    mean = drifts.mean(axis=0)
+    terminal, mean, se_re, se_im = (np.zeros((len(words), nm), dtype=d)
+                                    for d in (complex, complex, float, float))
+    terminal[cols] = proj.mean(axis=0)
+    mean[cols] = drifts.mean(axis=0)
     if n_paths > 1:
-        se_re = drifts.real.std(axis=0, ddof=1) / math.sqrt(n_paths)
-        se_im = drifts.imag.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    else:
-        se_re = np.zeros(mean.shape)
-        se_im = np.zeros(mean.shape)
+        se_re[cols] = drifts.real.std(axis=0, ddof=1) / math.sqrt(n_paths)
+        se_im[cols] = drifts.imag.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
     def zscore(m, se):
         if se > 0:
@@ -745,7 +746,7 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
         "T": T,
         "dt": dt,
         "seed": seed,
-        "basis_size": D,
+        "basis_size": len(words) * nm,
         "entries": entries,
         "max_z": max_z,
         "martingale": bool(max_z <= 3.0),

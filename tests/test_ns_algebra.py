@@ -480,6 +480,54 @@ def test_repeat_projection_hashes_few_fractions(monkeypatch):
     assert len(calls) <= 200
 
 
+def level_block_rows(params, cutoff):
+    """Reference projector rows: the descendant span of chi row-reduced one
+    level at a time, the blocks concatenated in level order."""
+    work = ModuleParams(params.c, params.delta, cutoff)
+    module = VermaModule(work)
+    K = module.domain
+    chi = {m: K.from_sympy(c.body())
+           for m, c in singular_vector_32(work).entries.items()}
+    rows = []
+    for level in sorted({word_level(w) for w in pbw_words(cutoff)}):
+        span = [row for row in (module._act(w, chi) for w in
+                                pbw_words(cutoff - Fraction(3, 2))
+                                if word_level(w) + Fraction(3, 2) == level)
+                if row]
+        if span:
+            rows += _row_echelon(span, [w for w in pbw_words(cutoff)
+                                        if word_level(w) == level], K)
+    return rows
+
+
+TWENTY_KAPPAS = [sp.Rational(p, q) for p, q in (
+    (1, 3), (1, 2), (2, 3), (3, 4), (1, 1), (5, 4), (4, 3), (3, 2), (5, 3),
+    (7, 4), (2, 1), (9, 4), (7, 3), (5, 2), (8, 3), (3, 1), (7, 2), (4, 1),
+    (6, 1), (8, 1))]
+
+
+# the 20 kappas cycle through the cutoffs 7/2, 4, ..., 9
+@pytest.mark.parametrize("kappa, cutoff", [
+    (k, Fraction(7, 2) + Fraction(i % 12, 2))
+    for i, k in enumerate(TWENTY_KAPPAS)])
+def test_projection_matches_level_blocks(kappa, cutoff):
+    # the span rows each sit at one level, so the one-matrix RREF is the
+    # level-by-level one
+    params = params_from_kappa_ns(kappa)
+    want = level_block_rows(params, cutoff)
+    assert want and ordered(quotient_projection(params, cutoff).rows) == \
+        ordered(want)
+
+
+def test_projection_levels_keep_their_rows():
+    params = params_from_kappa_ns(sp.Rational(8, 3))
+    cutoff, levels = Fraction(9), {Fraction(3, 2), Fraction(4), Fraction(9)}
+    rows = quotient_projection(params, cutoff).rows
+    want = [r for r in rows if word_level(r[0]) in levels]
+    got = quotient_projection(params, cutoff, levels=levels).rows
+    assert want and ordered(got) == ordered(want)
+
+
 def loop_row_echelon(span, order):
     """Incremental elimination with back-substitution, kept as a reference."""
     pos = {w: i for i, w in enumerate(order)}

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from supersle import kernel
 from supersle import sde as sde_module
-from supersle.cli import _loewner_rows
+from supersle.cli import MAX_CUTOFF, _loewner_rows
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
 from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gvec
 from supersle.ns_algebra import (
     CutoffOverflow,
+    G,
+    L,
     ModuleParams,
     VermaModule,
     params_from_kappa_ns,
@@ -54,14 +56,11 @@ from supersle.sde import (
     _fill_hull,
     _point_vectors,
     _rasterize_polyline,
-    _element_data,
     _reachable_masks,
-    _right_multiplication_matrix,
+    _reachable_transitions,
 )
 from supersle.walk import (
     WalkSpec,
-    beta_element,
-    drift_generator,
     sde_system,
     spec_32,
     spec_32alt,
@@ -167,6 +166,16 @@ class TestBrownianPath:
         short = BrownianPath.sample(2, 1e-3, 50, 5)
         long = BrownianPath.sample(2, 1e-3, 100, 5)
         assert np.array_equal(long.increments[:, :50], short.increments)
+
+    @pytest.mark.parametrize("dim, dt, steps", [(1, 1e-3, 1000),
+                                                (2, 1e-4, 333), (3, 0.37, 17)])
+    def test_draws_are_scaled_normals(self, dim, dt, steps):
+        # the same bits as normal(0, sqrt(dt)), which adds 0 to sqrt(dt) z
+        for seed in range(20):
+            want = np.random.default_rng([seed, 1]).normal(
+                0.0, math.sqrt(dt), size=(steps, dim)).T
+            got = BrownianPath.sample(dim, dt, steps, [seed, 1]).increments
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_coarsen_requires_divisor(self):
         with pytest.raises(ValueError):
@@ -584,30 +593,155 @@ class TestConvergence:
         assert rep["order"] >= 0.4
 
 
-def full_mc_basis(spec, params, cutoff=Fraction(7, 2)):
-    """Words, masks, R_alpha, [R_beta_i] and the quotient projection on the
-    full (word x mask) basis that ``mc_martingale`` reports on."""
-    elements = [_element_data(drift_generator(spec))] + [
-        _element_data(beta_element(spec, i))
-        for i in range(spec.brownian_dim)]
+def kron_matrix(element, words, masks, module):
+    """Reference dense build of O -> O*E on the whole (word x mask) basis.
+
+    Each term u c psi_mu of E contributes kron(Pi^|mu| W_u, C): W_u is right
+    multiplication of the words by u, Pi flips the sign of odd words and C
+    is right multiplication of the coefficients by c psi_mu, read off the
+    kernel product on the mask closure.
+    """
+    cutoff = module.params.level_cutoff
+    widx = {w: i for i, w in enumerate(words)}
+    flip = np.array([-1.0 if word_parity(w) else 1.0 for w in words])
+    eye = np.eye(1 << max(masks).bit_length(), dtype=complex)
+    closure = np.ix_(masks, masks)
+    D = len(words) * len(masks)
+    R = np.zeros((D, D), dtype=complex)
+    for u, mtable in element:
+        W = np.zeros((len(words), len(words)))
+        for w in words:
+            if word_level(w) + word_level(u) <= cutoff:
+                for w2, c in module.act_word(w + u, ()).items():
+                    W[widx[w], widx[w2]] = float(c)
+        for mu, cval in mtable.items():
+            Wmu = flip[:, None] * W if bin(mu).count("1") & 1 else W
+            R += np.kron(Wmu, _bmul(eye, cval * eye[mu])[closure])
+    return R
+
+
+def reachable_from_zero(mats):
+    """Sorted indices of the states that the non-zero entries of the dense
+    matrices reach from state 0."""
+    adj = np.any([R != 0 for R in mats], axis=0)
+    live = np.arange(len(adj)) == 0
+    while (grown := live | adj[live].any(axis=0)).sum() > live.sum():
+        live = grown
+    return np.flatnonzero(live)
+
+
+def dense_mc_basis(spec, params, cutoff=Fraction(7, 2)):
+    """Words, masks, R_alpha, [R_beta_i], the reachable state indices and the
+    quotient projection, all on the whole (word x mask) basis."""
+    elements = walk_elements(spec, cutoff)
     words = pbw_words(cutoff)
     masks = _reachable_masks(elements)
     module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
-    Ra, *Rb = (_right_multiplication_matrix(e, words, masks, module)
-               for e in elements)
+    Ra, *Rb = (kron_matrix(e, words, masks, module) for e in elements)
     Pm = quotient_projection(params, cutoff, check_singular=False)
-    return words, masks, Ra, Rb, Pm.matrix(words)
+    return (words, masks, Ra, Rb, reachable_from_zero([Ra, *Rb]),
+            Pm.matrix(words, words))
+
+
+def reference_mc_martingale(basis, spec, params, cutoff, n_paths, T, dt,
+                            seed):
+    """The dense Monte-Carlo bridge, kept as a reference for mc_martingale:
+    kron-built matrices cut to the reachable closure, one BrownianPath per
+    path, and einsum projections of the zero-padded state."""
+    words, masks, Ra, Rb, idx, Pm = basis
+    nm = len(masks)
+    D = len(words) * nm
+    steps = round(T / dt)
+    Ra, *Rb = (R[np.ix_(idx, idx)] for R in (Ra, *Rb))
+    S = np.zeros((n_paths, len(idx)), dtype=complex)
+    S[:, 0] = 1.0
+    increments = np.empty((n_paths, steps, spec.brownian_dim))
+    for p in range(n_paths):
+        increments[p] = BrownianPath.sample(spec.brownian_dim, dt, steps,
+                                            [seed, p]).increments.T
+    for k in range(steps):
+        delta = dt * (S @ Ra)
+        for i, R in enumerate(Rb):
+            delta += increments[:, k, i][:, None] * (S @ R)
+        S = S + delta
+    full = np.zeros((n_paths, D), dtype=complex)
+    full[:, idx] = S
+    proj = np.einsum("vw,pwm->pvm", Pm, full.reshape(n_paths, len(words), nm))
+    v0 = np.zeros((len(words), nm), dtype=complex)
+    v0[0, 0] = 1.0
+    proj0 = np.einsum("vw,wm->vm", Pm, v0)
+    drifts = (proj - proj0[None, :, :]) / (T if T > 0 else 1.0)
+    terminal = proj.mean(axis=0)
+    mean = drifts.mean(axis=0)
+    se_re = drifts.real.std(axis=0, ddof=1) / math.sqrt(n_paths)
+    se_im = drifts.imag.std(axis=0, ddof=1) / math.sqrt(n_paths)
+
+    def zscore(m, se):
+        if se > 0:
+            return abs(m) / se
+        return 0.0 if abs(m) < 1e-12 else math.inf
+
+    entries = []
+    for wi, w in enumerate(words):
+        for mi, m in enumerate(masks):
+            z = max(zscore(mean[wi, mi].real, se_re[wi, mi]),
+                    zscore(mean[wi, mi].imag, se_im[wi, mi]))
+            entries.append({
+                "word": "1" if not w else "".join(repr(mode) for mode in w),
+                "mask": m,
+                "terminal_re": float(terminal[wi, mi].real),
+                "terminal_im": float(terminal[wi, mi].imag),
+                "drift_re": float(mean[wi, mi].real),
+                "drift_im": float(mean[wi, mi].imag),
+                "se_re": float(se_re[wi, mi]),
+                "se_im": float(se_im[wi, mi]),
+                "z": z,
+            })
+    max_z = max(e["z"] for e in entries)
+    return {
+        "spec": spec.name, "c": str(params.c), "delta": str(params.delta),
+        "cutoff": str(cutoff), "n_paths": n_paths, "T": T, "dt": dt,
+        "seed": seed, "basis_size": D, "entries": entries, "max_z": max_z,
+        "martingale": bool(max_z <= 3.0), "drift_detected": bool(max_z > 5.0),
+    }
+
+
+def report_text(rep):
+    buf = io.StringIO()
+    write_json_report(rep, buf)
+    return buf.getvalue()
+
+
+# a file: walk with complex coefficients on two generators
+COMPLEX_WALK = {"n": 2, "b": 1,
+                "alpha0": {"-2": {"eta": "(1/2,1/3)*p0"}},
+                "beta": [{"-1": {"y": "(1,1/2) + (0,-3/4)*p0p1",
+                                 "eta": "(3/4,-1/4)*p1"}}]}
+
+
+# beta = L_0 keeps every path on the identity word, the only reachable state
+L0_WALK = {"n": 0, "b": 1, "alpha0": {}, "beta": [{"0": {"y": "1"}}]}
+
+
+def mc_case(name):
+    params = params_from_kappa_ns(2)
+    if name == "32-detuned":
+        return spec_32(2), ModuleParams(params.c, params.delta
+                                        + sp.Rational(1, 2))
+    if name == "file":
+        return WalkSpec.from_json(COMPLEX_WALK), params
+    if name == "L0":  # at kappa = 1, where Delta = 1/2 (it is 0 at 2)
+        return WalkSpec.from_json(L0_WALK), params_from_kappa_ns(1)
+    return standard_spec(name, 2), params
 
 
 def assert_full_layout(rep, spec, basis_size, reachable):
     """The report keeps every (word, mask) entry, and exactly the entries
     that no reachable state projects onto are zero."""
     params = params_from_kappa_ns(2)
-    words, masks, Ra, Rb, Pm = full_mc_basis(spec, params)
-    adj = sum(np.abs(R) for R in (Ra, *Rb)) > 0
-    live = np.eye(len(Ra), dtype=bool)[0]
-    for _ in range(len(Ra)):
-        live = live | (live @ adj)
+    words, masks, _Ra, _Rb, idx, Pm = dense_mc_basis(spec, params)
+    live = np.zeros(len(words) * len(masks), dtype=bool)
+    live[idx] = True
     assert rep["basis_size"] == basis_size == len(rep["entries"])
     assert live.sum() == reachable
     support = (np.abs(Pm) @ live.reshape(len(words), len(masks))) > 0
@@ -642,26 +776,41 @@ class TestMcMartingale:
                             n_paths=400, T=0.1, dt=1e-2, seed=3)
         assert rep["drift_detected"]
 
-    @pytest.mark.parametrize("make_spec", [spec_32, spec_32alt])
-    def test_exact_expectation_oracle(self, make_spec):
-        # The increments are centred and independent, so
-        # E[S_T] = e0 (I + dt R_alpha)^steps exactly.
+    @pytest.mark.parametrize("make_spec, cutoff", [
+        (spec_32, Fraction(7, 2)), (spec_32, MAX_CUTOFF),
+        (spec_32alt, Fraction(7, 2)), (spec_32alt, Fraction(8))],
+        ids=["spec_32", "spec_32-cap", "spec_32alt", "spec_32alt-8"])
+    def test_exact_expectation_oracle(self, make_spec, cutoff):
+        # The increments are centred and independent, so on the reachable
+        # states E[S_T] = e0 (I + dt R_alpha)^steps exactly.
         T, dt = 0.1, 1e-2
         p = params_from_kappa_ns(2)
+        elements = walk_elements(make_spec(2), cutoff)
+        words = pbw_words(cutoff)
+        masks = _reachable_masks(elements)
+        module = VermaModule(ModuleParams(p.c, p.delta, cutoff))
+        live, (Ra, *_Rb) = _reachable_transitions(elements, words, masks,
+                                                  module)
+        lw = sorted({i for i, _j in live})
+        eye = np.eye(len(live))
+        exact_live = np.linalg.matrix_power(eye + dt * Ra, round(T / dt))[0]
         for shift, max_drift in ((0, 0.0), (sp.Rational(1, 2), 1.0)):
             params = ModuleParams(p.c, p.delta + shift, p.level_cutoff)
-            words, masks, Ra, _, Pm = full_mc_basis(make_spec(2), params)
+            Pm = quotient_projection(params, cutoff, check_singular=False,
+                                     levels={word_level(words[i]) for i in lw}
+                                     ).matrix(words, [words[i] for i in lw])
 
             def project(state):
-                return (Pm @ state.reshape(len(words), len(masks))).ravel()
+                out = np.zeros((len(words), len(masks)), dtype=complex)
+                for x, (i, j) in zip(state, live, strict=True):
+                    out[:, j] += x * Pm[:, lw.index(i)]
+                return out.ravel()
 
-            eye = np.eye(len(Ra))
-            exact = project(np.linalg.matrix_power(eye + dt * Ra,
-                                                   round(T / dt))[0])
+            exact = project(exact_live)
             drift = (exact - project(eye[0])) / T
             assert np.abs(drift).max() == pytest.approx(max_drift, abs=1e-12)
-            rep = mc_martingale(make_spec(2), params, n_paths=400, T=T,
-                                dt=dt, seed=3)
+            rep = mc_martingale(make_spec(2), params, cutoff=cutoff,
+                                n_paths=400, T=T, dt=dt, seed=3)
             # the terminal mean's standard error is T times the drift's
             for e, x in zip(rep["entries"], exact, strict=True):
                 tol_re = 3 * T * e["se_re"] + 1e-12
@@ -678,15 +827,49 @@ class TestMcMartingale:
     @pytest.mark.parametrize("kappa", [sp.Integer(2), sp.Rational(8, 3)])
     @pytest.mark.parametrize("cutoff", [Fraction(7, 2), Fraction(11, 2)])
     def test_kronecker_matches_koszul_loop(self, name, kappa, cutoff):
+        # the kron reference and the entry-by-entry Koszul matrices agree on
+        # the whole basis; the reachable states are those their non-zero
+        # entries reach from state 0, and the reachable matrices are theirs
+        # cut to those states, bit for bit
         params = params_from_kappa_ns(kappa)
         elements = walk_elements(standard_spec(name, kappa), cutoff)
         words = pbw_words(cutoff)
         masks = _reachable_masks(elements)
         module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
-        for e in elements:
-            R = _right_multiplication_matrix(e, words, masks, module)
-            want = koszul_loop_matrix(e, words, masks, module)
+        live, mats = _reachable_transitions(elements, words, masks, module)
+        full = [koszul_loop_matrix(e, words, masks, module) for e in elements]
+        for e, want in zip(elements, full):
+            R = kron_matrix(e, words, masks, module)
             assert R.tobytes() == want.tobytes()
+        idx = reachable_from_zero(full)
+        assert [i * len(masks) + j for i, j in live] == idx.tolist()
+        for R, want in zip(mats, full, strict=True):
+            assert R.tobytes() == want[np.ix_(idx, idx)].tobytes()
+
+    def test_cancelled_entry_reaches_nothing(self):
+        # G_{-1/2}^2 = L_{-1}: the two terms of G_{-1/2}^2 - L_{-1} cancel
+        # in the accumulated entry, so no state beyond state 0 is reached
+        cutoff = Fraction(7, 2)
+        module = VermaModule(ModuleParams(1, 0, cutoff))
+        g = G(Fraction(-1, 2))
+        element = [((g, g), {0: 1 + 0j}), ((L(-1),), {0: -1 + 0j})]
+        live, (R,) = _reachable_transitions([element], pbw_words(cutoff),
+                                            [0], module)
+        assert live == [(0, 0)] and R.tolist() == [[0j]]
+
+    @pytest.mark.parametrize("case", ["32", "32-detuned", "32alt", "file",
+                                      "L0"])
+    @pytest.mark.parametrize("cutoff", [Fraction(7, 2), Fraction(11, 2),
+                                        Fraction(8)])
+    def test_matches_dense_reference(self, case, cutoff):
+        spec, params = mc_case(case)
+        basis = dense_mc_basis(spec, params, cutoff)
+        for seed in (0, 11):
+            got = mc_martingale(spec, params, cutoff=cutoff, n_paths=40,
+                                T=0.02, dt=1e-3, seed=seed)
+            want = reference_mc_martingale(basis, spec, params, cutoff, 40,
+                                           0.02, 1e-3, seed)
+            assert report_text(got) == report_text(want)
 
 
 class TestLoewner:
