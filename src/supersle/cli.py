@@ -243,6 +243,8 @@ def cmd_sde(args) -> int:
                                        seed)
     with np.errstate(all="ignore"):  # non-finite states are reported below
         out = sde_mod.euler_maruyama(sde_system(spec), init, path)
+    if out.swallowed_time == 0.0:  # swallowed at the start: an empty run
+        raise sde_mod.SwallowedPoint(out.swallowed_time)
     if not (np.isfinite(out.Z).all() and np.isfinite(out.TH).all()):
         print("FAIL sde: non-finite state on the Euler path", file=sys.stderr)
         return 1

@@ -49,9 +49,6 @@ class CoefficientRing:
             return sp.expand(sp.sympify(x))
         return complex(x)
 
-    def is_zero(self, c) -> bool:
-        return c == 0
-
 
 EXACT = CoefficientRing("exact")
 FLOAT = CoefficientRing("float")
@@ -83,7 +80,7 @@ class GrassmannNumber:
             if mask >> n:
                 raise ValueError(f"monomial mask {mask:#b} uses generators >= {n}")
             c = ring.coerce(coeff)
-            if not ring.is_zero(c):
+            if c != 0:
                 clean[mask] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
@@ -139,9 +136,6 @@ class GrassmannNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self._as_grassmann(other) - self
-
     # -- multiplication ---------------------------------------------------
 
     def __mul__(self, other):
@@ -166,11 +160,7 @@ class GrassmannNumber:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, GrassmannNumber):
-            return self * other.inverse()
-        if self.ring.kind == "exact":
-            return self * (sp.S.One / sp.sympify(other))
-        return self * (1.0 / complex(other))
+        return self * (sp.S.One / sp.sympify(other))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -213,17 +203,11 @@ class GrassmannNumber:
     def coefficient(self, mask: int):
         return self.terms.get(mask, self.ring.coerce(0))
 
-    def max_abs(self) -> float:
-        """Largest coefficient magnitude (float ring, or numeric exact)."""
-        if not self.terms:
-            return 0.0
-        return max(abs(complex(c)) for c in self.terms.values())
-
     # -- inverse ----------------------------------------------------------
 
     def inverse(self) -> "GrassmannNumber":
         b = self.body()
-        if self.ring.is_zero(b):
+        if b == 0:
             raise NotInvertible("element has vanishing body")
         if self.ring.kind == "exact":
             binv = sp.S.One / b

@@ -6,7 +6,7 @@ vector over the 2^n monomial masks; a batch of them is an array of shape
 table per n, the float counterpart of ``GrassmannNumber.__mul__``.  When
 the factors are known to vanish off some masks, the product can run through
 the table restricted to them, with the same non-zero bits; a constant times
-a batch is such a restriction with the constant folded in, a signed gather.
+a batch runs through the table of the constant's masks against every mask.
 Euler stepping, the closed forms and the Monte-Carlo mask closure in
 ``supersle.sde`` all work in this format.
 """
@@ -112,28 +112,14 @@ def _restrict(n: int, lsup, rsup):
 
 
 def _tmul(table, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B through a restricted table, shaped like A; zero off its dst."""
-    dst, left, right, signs, starts = table
-    out = np.zeros(A.shape, dtype=complex)
-    out[..., dst] = np.add.reduceat(A[..., left] * B[..., right] * signs,
-                                    starts, axis=-1)
-    return out
+    """A B through a restricted table, zero off its dst.
 
-
-def _gather(c: np.ndarray):
-    """Left multiplication by the constant c as (dst, src, c_i sign, starts).
-
-    The ``_restrict`` table of c's non-zero masks and every right mask, with
-    c folded into the signs; the run from starts[g] sums into dst[g].
+    A and B may differ in leading shape, as a constant (2^n,) times a batch
+    (..., 2^n); the product takes the shape of the table's sums.
     """
-    n = c.shape[-1].bit_length() - 1
-    dst, left, right, signs, starts = _restrict(n, np.flatnonzero(c),
-                                                np.arange(1 << n))
-    return dst, right, c[left] * signs, starts
-
-
-def _gather_add(gather, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` += c B for batched B (..., 2^n), c the gather's constant."""
-    dst, src, w, starts = gather
-    out[..., dst] += np.add.reduceat(w * B[..., src], starts, axis=-1)
+    dst, left, right, signs, starts = table
+    sums = np.add.reduceat(A[..., left] * B[..., right] * signs, starts,
+                           axis=-1)
+    out = np.zeros(sums.shape[:-1] + A.shape[-1:], dtype=complex)
+    out[..., dst] = sums
     return out

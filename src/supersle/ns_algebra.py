@@ -246,9 +246,6 @@ class VermaVector:
     def __neg__(self):
         return VermaVector(self.params, {m: -c for m, c in self.entries.items()})
 
-    def __mul__(self, other):
-        return VermaVector(self.params, {m: c * other for m, c in self.entries.items()})
-
     def lmul(self, g) -> "VermaVector":
         """Left multiplication of every coefficient by g (Grassmann or scalar)."""
         return VermaVector(self.params, {m: g * c for m, c in self.entries.items()})

@@ -24,14 +24,12 @@ import sympy as sp
 from supersle.grassmann import (
     EXACT,
     FLOAT,
-    CoefficientRing,
     GrassmannNumber,
     NotInvertible,
     _merge_sign,
     make_generator,
 )
-from supersle.kernel import (_binv, _bmul, _gather, _gather_add, _gnum,
-                             _gvec, _restrict, _tmul)
+from supersle.kernel import _binv, _bmul, _gnum, _gvec, _restrict, _tmul
 from supersle.ns_algebra import (
     CutoffOverflow,
     AlgebraElement,
@@ -173,11 +171,15 @@ def _union(*supports) -> np.ndarray:
 
 
 def _plan_part(part, sup, n: int):
-    """A part [(k, c_k)] as [(k, gather or c_0)], and the masks it reaches
-    from the masks sup[k] of the z powers."""
+    """A part [(k, c_k)] as [(k, c_k, table or None)], and the masks it
+    reaches from the masks sup[k] of the z powers.  The table of c_k z^k
+    pairs c_k's masks with every mask; the constant term needs none."""
+    every = np.arange(1 << n)
+    planned = [(k, c, _restrict(n, np.flatnonzero(c), every) if k else None)
+               for k, c in part]
     reach = _union(*(_restrict(n, np.flatnonzero(c), sup[k])[0] if k
                      else np.flatnonzero(c) for k, c in part))
-    return [(k, _gather(c) if k else c) for k, c in part], reach
+    return planned, reach
 
 
 _StepPlan = namedtuple("_StepPlan", "ladder chain fns zsup tsup")
@@ -208,7 +210,7 @@ def _step_plan(table, lo: int, hi: int, n: int, zsup, tsup) -> _StepPlan:
         for a, b in table:
             (a, asup), (b, bsup) = (_plan_part(p, sup, n) for p in (a, b))
             thb = _restrict(n, tsup, bsup) if bsup.size else None
-            if thb is None and not any(k for k, _c in a):
+            if thb is None and not any(k for k, *_ in a):
                 fns.append(a[0][1] if a else np.zeros(1 << n, dtype=complex))
             else:
                 fns.append((a, b, thb))
@@ -223,8 +225,8 @@ def _eval_table(plan: _StepPlan, Z: np.ndarray, TH: np.ndarray) -> list:
     """Every function of the plan at batched points (..., 2^n).
 
     One z-power ladder, and one inverse when the plan has a chain, serve
-    them all; a constant times z^k is a gather, so only theta b(z)
-    multiplies two states.
+    them all; a constant times z^k runs through the constant's table, so
+    only theta b(z) multiplies two states.
     """
     pows = {1: Z}
     if plan.chain is not None:
@@ -235,11 +237,8 @@ def _eval_table(plan: _StepPlan, Z: np.ndarray, TH: np.ndarray) -> list:
 
     def value(part):
         acc = np.zeros(Z.shape, dtype=complex)
-        for k, coeff in part:
-            if k:
-                _gather_add(coeff, pows[k], acc)
-            else:
-                acc += coeff
+        for k, c, table in part:
+            acc += _tmul(table, c, pows[k]) if k else c
         return acc
 
     out = []
@@ -426,8 +425,8 @@ def closed_form_32alt(init: SuperPoint, path: BrownianPath,
 # -- closed forms as superconformal maps ------------------------------------------
 
 
-def closed_form_32_map(kappa, t=None, B=None, ring: CoefficientRing = EXACT):
-    """The map (z, theta) -> (z'_t, theta'_t) as Laurent superfunctions.
+def closed_form_32_map(kappa, t=None, B=None):
+    """The map (z, theta) -> (z'_t, theta'_t) as exact Laurent superfunctions.
 
     By default t and B are free symbols, so superconformality can be checked
     identically in t and the driving value.
@@ -436,42 +435,34 @@ def closed_form_32_map(kappa, t=None, B=None, ring: CoefficientRing = EXACT):
         t = sp.Symbol("t")
     if B is None:
         B = sp.Symbol("B")
-    spec = spec_32(kappa, ring)
-    sk = _sqrt_kappa(kappa, ring)
+    spec = spec_32(kappa)
+    sk = _sqrt_kappa(kappa, EXACT)
     y = spec.beta[0][-1][0] / sk
     eta = spec.beta[0][-1][1] / sk
     yeta = y * eta
-    zp = LaurentSuperfunction({1: GrassmannNumber.scalar(1, 4, ring),
+    zp = LaurentSuperfunction({1: GrassmannNumber.scalar(1, 4),
                                0: -(y * (sk * B))},
                               {-1: yeta * t, 0: -(eta * (sk * B))})
     thetap = LaurentSuperfunction({-1: yeta * t, 0: -(eta * (sk * B))},
-                                  {0: GrassmannNumber.scalar(1, 4, ring)})
+                                  {0: GrassmannNumber.scalar(1, 4)})
     return zp, thetap
 
 
-def closed_form_32alt_map(kappa, I=None, B1=None, B2=None,
-                          ring: CoefficientRing = EXACT):
+def closed_form_32alt_map(kappa):
     """The two-Brownian closed-form map with I, B1, B2 as free symbols.
 
     I stands for the path integral of 1/(z - sqrt(kappa) B+); at frozen time
     it is just an even constant, so the superconformality check is algebraic.
     """
-    if I is None:
-        I = sp.Symbol("I_v")
-    if B1 is None:
-        B1 = sp.Symbol("B_1")
-    if B2 is None:
-        B2 = sp.Symbol("B_2")
-    eta = make_generator(0, 2, ring)
-    sk = _sqrt_kappa(kappa, ring)
-    i_unit = sp.I if ring.kind == "exact" else 1j
+    I, B1, B2 = sp.symbols("I_v B_1 B_2")
+    eta = make_generator(0, 2)
+    sk = _sqrt_kappa(kappa, EXACT)
     shift = eta * (I - sk * B1)
     zp = LaurentSuperfunction(
-        {1: GrassmannNumber.scalar(1, 2, ring),
-         0: GrassmannNumber.scalar(-sk * (B1 + i_unit * B2), 2, ring)},
+        {1: GrassmannNumber.scalar(1, 2),
+         0: GrassmannNumber.scalar(-sk * (B1 + sp.I * B2), 2)},
         {0: shift})
-    thetap = LaurentSuperfunction({0: shift},
-                                  {0: GrassmannNumber.scalar(1, 2, ring)})
+    thetap = LaurentSuperfunction({0: shift}, {0: GrassmannNumber.scalar(1, 2)})
     return zp, thetap
 
 

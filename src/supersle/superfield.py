@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from supersle.grassmann import (
-    EVEN,
-    EXACT,
-    ODD,
-    CoefficientRing,
-    GrassmannNumber,
-    format_grassmann,
-)
+from supersle.grassmann import EVEN, ODD, GrassmannNumber, format_grassmann
 
 
 class ParityError(ValueError):
@@ -111,16 +104,11 @@ class LaurentSuperfunction:
         return LaurentSuperfunction(_poly_map(self.a, lambda x: x * other),
                                     _poly_map(self.b, lambda x: x * other))
 
-    def lmul(self, g) -> "LaurentSuperfunction":
-        """Left multiplication by a Grassmann (or plain) scalar g."""
-        if not isinstance(g, GrassmannNumber):
-            return self * g
+    def lmul(self, g: GrassmannNumber) -> "LaurentSuperfunction":
+        """Left multiplication by a Grassmann number g."""
         gi = g.grade_involution()
         return LaurentSuperfunction(_poly_map(self.a, lambda x: g * x),
                                     _poly_map(self.b, lambda x: gi * x))
-
-    def __rmul__(self, other):
-        return self.lmul(other)
 
     # -- calculus ---------------------------------------------------------
 
@@ -161,11 +149,6 @@ class LaurentSuperfunction:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def max_abs(self) -> float:
-        vals = [v.max_abs() for v in self.a.values()] + \
-               [v.max_abs() for v in self.b.values()]
-        return max(vals, default=0.0)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSuperfunction):
             return NotImplemented
@@ -176,26 +159,19 @@ class LaurentSuperfunction:
         return f"LaurentSuperfunction(a={fmt(self.a)}, b={fmt(self.b)})"
 
 
-def z_power(k: int, n: int = 0, ring: CoefficientRing = EXACT) -> LaurentSuperfunction:
-    return LaurentSuperfunction({k: GrassmannNumber.scalar(1, n, ring)}, {})
+def z_power(k: int, n: int = 0) -> LaurentSuperfunction:
+    return LaurentSuperfunction({k: GrassmannNumber.scalar(1, n)}, {})
 
 
-def theta_times(poly, n: int = 0, ring: CoefficientRing = EXACT) -> LaurentSuperfunction:
+def theta_times(poly, n: int = 0) -> LaurentSuperfunction:
     """theta * (sum_k c_k z^k) for a plain {exp: coeff-like} mapping."""
     b = {}
     for k, c in poly.items():
-        b[k] = c if isinstance(c, GrassmannNumber) else GrassmannNumber.scalar(c, n, ring)
+        b[k] = c if isinstance(c, GrassmannNumber) else GrassmannNumber.scalar(c, n)
     return LaurentSuperfunction({}, b)
 
 
-def is_superconformal(zp: LaurentSuperfunction, thetap: LaurentSuperfunction,
-                      tol: float = 1e-10):
-    """Test Dz' = theta' Dtheta'; returns (bool, residual superfunction)."""
+def is_superconformal(zp: LaurentSuperfunction, thetap: LaurentSuperfunction):
+    """Test Dz' = theta' Dtheta' exactly; returns (bool, residual superfunction)."""
     residual = zp.superderivative() - thetap * thetap.superderivative()
-    exact = all(v.ring.kind == "exact"
-                for p in (residual.a, residual.b) for v in p.values())
-    if residual.is_zero():
-        return True, residual
-    if exact:
-        return False, residual
-    return residual.max_abs() <= tol, residual
+    return residual.is_zero(), residual

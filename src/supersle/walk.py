@@ -337,11 +337,8 @@ def match_singular(spec: WalkSpec, kappa) -> dict:
     params = params_from_kappa_ns(kappa)
     v = drift_vector(spec, params)
     chi = singular_vector_32(params)
-    g32 = (G(Fraction(-3, 2)),)
-    if params.delta + sp.Rational(1, 2) != 0:
-        lam = v.coefficient(g32) / (params.delta + sp.Rational(1, 2))
-    else:
-        lam = -v.coefficient((L(-1), G(Fraction(-1, 2))))
+    # chi's G_{-3/2} coefficient is Delta + 1/2 = 1/kappa, never zero
+    lam = v.coefficient((G(Fraction(-3, 2)),)) / (params.delta + sp.Rational(1, 2))
     residual = v - chi.lmul(lam)
     return {"params": params, "proportionality": lam, "residual": residual,
             "matched": residual.is_zero()}

@@ -44,6 +44,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--kappa", "8/3")
         assert code == 0
 
+    def test_failed_check_exit_1(self, capsys, monkeypatch):
+        import supersle.cli as cli
+
+        monkeypatch.setattr(cli, "singular_condition_residual", lambda p: 1)
+        code, out, err = run(capsys, "verify", "--kappa", "1")
+        assert code == 1
+        assert err == "FAIL ns-singular-condition\n"
+        checks = json.loads(out)["report"]["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == [
+            "ns-singular-condition"]
+
 
 class TestSde:
     def test_first_row_matches_init(self, capsys):
@@ -70,6 +81,13 @@ class TestSde:
         b = run(capsys, "sde", "--spec", "32", "--kappa", "1",
                 "--dt", "1e-3", "--T", "0.01", "--seed", "7")
         assert a[1].replace("# seed=7\n", "") == b[1].replace("# seed=7\n", "")
+
+    def test_env_seed_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPER_SLE_SEED", "abc")
+        code, out, err = run(capsys, "sde", "--spec", "32", "--kappa", "1",
+                             "--dt", "1e-3", "--T", "0.01")
+        assert code == 2 and out == ""
+        assert err == "error: SUPER_SLE_SEED='abc' is not an integer\n"
 
     def test_convergence_json(self, capsys):
         code, out, _ = run(capsys, "sde", "--spec", "32alt", "--kappa", "1",
@@ -175,6 +193,12 @@ class TestSde:
     ["martingale", "--T", "0.02", "--paths", "1"],
     *(["trace", "--mode", "loewner", "--T", "0.02", "--grid", g]
       for g in ("1", "2")),
+    # the = form, since -inf starts with a dash
+    *(["trace", f"--bounds={b}"] for b in ("nan,1,0,1", "-inf,1,0,1")),
+    # a starting body inside the swallowing ball: an empty run, no CSV
+    ["sde", "--spec", "32", "--z0", "0", "--T", "0.1"],
+    ["sde", "--spec", "32alt", "--z0", "1e-7", "--T", "0.1"],
+    ["sde", "--spec", "virasoro", "--z0", "0", "--T", "0.1"],
 ])
 def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--kappa", "1",
@@ -257,6 +281,9 @@ def test_walk_file_generator_bound(capsys, tmp_path, monkeypatch, command,
                     "alpha0": {"-2": {"eta": "-1e200*p0p1p2"}},
                     "beta": [{"-1": {"y": "1e200*p0p1", "eta": "1e200*p2"}}]},
      ["--paths", "10", "--T", "0.01"], 1),
+    # a coefficient beyond the float range of the sde ring
+    ("sde", {"n": 4, "b": 1, "beta": [{"-1": {"y": "1e400"}}]},
+     ["--T", "0.01"], 2),
 ])
 def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
                                  walk, argv, expected):

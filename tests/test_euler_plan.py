@@ -2,8 +2,8 @@
 
 ``dense_coefficient_table``, ``dense_eval_table`` and ``dense_em_core`` are
 copies of the Euler step before it was restricted to the reachable masks:
-every state product runs through the whole pair table, every gather over all
-masks, and swallowed paths are frozen by ``np.where`` at every step.  The
+every state product runs through the whole pair table, every constant times
+a z power through a signed gather over all masks, and swallowed paths are frozen by ``np.where`` at every step.  The
 restricted step must give the same Z and TH down to the raw bits, signed
 zeros included.
 """
@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from supersle.cli import _initial_point
 from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
-from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gvec
+from supersle.kernel import _binv, _bmul, _gvec, _restrict
 from supersle.sde import (
     _coefficient_table,
     _em_core,
@@ -37,8 +37,22 @@ from supersle.walk import (
 SWALLOW_EPS = 1e-6
 
 
+def gather(c):
+    """Left multiplication by the constant c as (dst, src, c_i sign, starts)."""
+    n = c.shape[-1].bit_length() - 1
+    dst, left, right, signs, starts = _restrict(n, np.flatnonzero(c),
+                                                np.arange(1 << n))
+    return dst, right, c[left] * signs, starts
+
+
+def gather_add(table, B, out):
+    dst, src, w, starts = table
+    out[..., dst] += np.add.reduceat(w * B[..., src], starts, axis=-1)
+    return out
+
+
 def dense_coefficient_table(fns, n):
-    table = [tuple([(k, _gather(_gvec(c, n)) if k else _gvec(c, n))
+    table = [tuple([(k, gather(_gvec(c, n)) if k else _gvec(c, n))
                     for k, c in part.items()] for part in (F.a, F.b))
              for F in fns]
     exps = [k for F in fns for k in (*F.a, *F.b)]
@@ -59,7 +73,7 @@ def dense_eval_table(table, lo, hi, Z, TH):
         for acc, part in ((val, a), (bsum, b)):
             for k, coeff in part:
                 if k:
-                    _gather_add(coeff, pows[k], acc)
+                    gather_add(coeff, pows[k], acc)
                 else:
                     acc += coeff
         if bsum.any():

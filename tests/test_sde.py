@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from supersle import kernel
 from supersle import sde as sde_module
-from supersle.cli import MAX_CUTOFF, _loewner_rows
+from supersle.cli import MAX_CUTOFF, _initial_point, _loewner_rows
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
-from supersle.kernel import _binv, _bmul, _gather, _gather_add, _gvec
+from supersle.kernel import _binv, _bmul, _gvec, _restrict, _tmul
 from supersle.ns_algebra import (
     CutoffOverflow,
     G,
@@ -212,11 +212,17 @@ class TestGrassmannKernel:
 
     @pytest.mark.parametrize("n", range(9))
     def test_gather_matches_bmul(self, n):
-        # a constant whose every value is real or imaginary gives single
-        # products that round the same in any numpy loop, so the gather must
-        # reproduce _bmul bit for bit; a general complex constant may move
-        # the last bit, as numpy's vector and tail loops round a complex
-        # product differently
+        # a constant times a batch runs through the table of the constant's
+        # masks against every mask; a constant whose every value is real or
+        # imaginary gives single products that round the same in any numpy
+        # loop, so the product must reproduce _bmul bit for bit; a general
+        # complex constant may move the last bit, as numpy's vector and tail
+        # loops round a complex product differently
+        every = np.arange(1 << n)
+
+        def times(c, B):
+            return _tmul(_restrict(n, np.flatnonzero(c), every), c, B)
+
         rng = np.random.default_rng(400 + n)
         for count, batch in [(1, 1), (2, 4), (3, 4), (3, 50)]:
             c = np.zeros(1 << n, dtype=complex)
@@ -226,16 +232,14 @@ class TestGrassmannKernel:
             B = random_elements(rng, n, batch)
             B[:, rng.random(1 << n) < 0.3] = 0.0  # exact zeros in the state
             base = random_elements(rng, n, batch)
-            for out, want in ((np.zeros_like(B), _bmul(c, B)),
-                              (base.copy(), base + _bmul(c, B))):
-                got = _gather_add(_gather(c), B, out)
-                assert got is out
+            for got, want in ((times(c, B), _bmul(c, B)),
+                              (base + times(c, B), base + _bmul(c, B))):
                 assert np.array_equal(got, want)
                 nonzero = want.view(float) != 0.0
                 assert np.array_equal(got.view(np.int64)[nonzero],
                                       want.view(np.int64)[nonzero])
             c[picked] += rng.normal(size=len(picked)) * 1j
-            got = _gather_add(_gather(c), B, np.zeros_like(B))
+            got = times(c, B)
             want = _bmul(c, B)
             assert np.max(np.abs(got - want)) <= 1e-15 * max(
                 1.0, np.max(np.abs(want)))
@@ -544,9 +548,9 @@ class TestSuperconformalMaps:
         B = path.values[0]
         for k in (5, 20):
             zp, tp = closed_form_32_map(2.0, t=float(path.times[k]),
-                                        B=float(B[k]), ring=FLOAT)
-            ok, residual = is_superconformal(zp, tp, tol=1e-9)
-            assert ok
+                                        B=float(B[k]))
+            ok, residual = is_superconformal(zp, tp)
+            assert ok and residual.is_zero()
 
 
 class TestConvergence:
@@ -1074,6 +1078,24 @@ class TestWriters:
                               BrownianPath.sample(1, 1e-2, 5, 1))
         write_superpath_csv(out2, buf2, config={"seed": 1})
         assert buf2.getvalue() == text
+
+    def test_superpath_csv_swallowed(self):
+        # 32alt moves the body of z by -(dB1 + i dB2): from 0.5, a step of
+        # 0.5 - 1e-7 at step 4 puts it inside the swallowing ball
+        spec = spec_32alt(1.0, FLOAT)
+        inc = np.zeros((2, 10))
+        inc[0, 3] = 0.5 - 1e-7
+        out = euler_maruyama(sde_system(spec), _initial_point(spec, 0.5),
+                             BrownianPath(dt=1e-2, increments=inc))
+        assert out.swallowed_time == 0.04
+        buf = io.StringIO()
+        write_superpath_csv(out, buf, config={"seed": 1})
+        lines = buf.getvalue().splitlines()
+        assert lines[:2] == ["# seed=1", "# status=swallowed t=0.04"]
+        assert lines[2].startswith("t,z0_re,z0_im,")
+        rows = [l.split(",") for l in lines[3:]]
+        assert [float(r[0]) for r in rows] == [0.0, 0.01, 0.02, 0.03, 0.04]
+        assert abs(complex(float(rows[-1][1]), float(rows[-1][2]))) < 1e-6
 
     def test_pgm(self):
         raster = HullRaster(bounds=(0, 1, 0, 1),
