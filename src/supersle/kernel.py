@@ -71,8 +71,10 @@ def _binv(A: np.ndarray, chain=None) -> np.ndarray:
             break
         bpow = bpow * body
         out += power / bpow[..., None]
-        power = (_bmul(power, minus_soul) if table is None
-                 else _tmul(table, power, minus_soul))
+        if table is None:
+            power = _bmul(power, minus_soul)
+        elif table[0].size:  # else soul^m soul = 0 and the chain ends
+            power = _tmul(table, power, minus_soul)
     return out
 
 

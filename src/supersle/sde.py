@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import sympy as sp
@@ -112,6 +113,73 @@ class BrownianPath:
             raise ValueError("coarsening factor must divide the step count")
         inc = self.increments.reshape(self.dim, self.steps // k, k).sum(axis=2)
         return BrownianPath(dt=self.dt * k, increments=inc)
+
+
+@cache
+def _path_seed_type() -> type:
+    """The type of a precomputed PCG64 seed state, which ``default_rng``
+    takes as is.  It is made on first use because subclassing numpy's
+    ``ISeedSequence`` imports ``numpy.random`` (about 6 MiB), which
+    ``verify`` and the other runs that draw nothing never load.
+    """
+    class PathSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a path seed holds PCG64's four uint64 words")
+            return self.state
+
+    return PathSeed
+
+
+def _path_seeds(seed, n: int):
+    """Seeds of paths 0..n-1, in turn, drawing as ``default_rng([seed, p])``.
+
+    Runs numpy's ``SeedSequence([seed, p]).generate_state(4, np.uint64)``
+    for every p at once on uint32 columns: the entropy (seed's little-endian
+    32-bit words, then p's one word) is hashed into a pool of four words and
+    mixed, and the pool is expanded to eight output words.  The seeds are
+    made one at a time, so only the (n, 4) states stay in memory.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    u32, const = np.uint32, 0x43B0D7E5
+    entropy = [np.full(n, seed >> s & 0xFFFFFFFF, dtype=u32)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(n, dtype=u32))
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ u32(const)
+        const = const * 0x931E8875 & 0xFFFFFFFF
+        v = v * u32(const)
+        return v ^ v >> u32(16)
+
+    def mix(x, y):
+        r = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
+        return r ^ r >> u32(16)
+
+    # entropy shorter than the pool is padded with zero words, and words
+    # beyond the pool are mixed into every pool word at the end
+    pool = [hashmix(e) for e in (entropy + [np.zeros(n, u32)] * 2)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    state, const = np.empty((n, 8), dtype=u32), 0x8B51F9DD
+    for i in range(8):
+        v = pool[i % 4] ^ u32(const)
+        const = const * 0x58F38DED & 0xFFFFFFFF
+        v = v * u32(const)
+        state[:, i] = v ^ v >> u32(16)
+    rows = state.astype("<u4", copy=False).view("<u8")
+    return map(_path_seed_type(), rows.astype(np.uint64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -532,8 +600,8 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
     dts = sorted(dt_list, reverse=True)
     ks = [round(d / dt_ref) for d in dts]
     incs = [np.empty((n_paths, steps_ref // k, dim)) for k in ks]
-    for p in range(n_paths):
-        bp = BrownianPath.sample(dim, dt_ref, steps_ref, [seed, p])
+    for p, path_seed in enumerate(_path_seeds(seed, n_paths)):
+        bp = BrownianPath.sample(dim, dt_ref, steps_ref, path_seed)
         ref_z[p], ref_th[p] = closed_form(z0, th0, bp)
         for k, inc in zip(ks, incs):
             inc[p] = bp.coarsen(k).increments.T
@@ -676,8 +744,9 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
     S = np.zeros((n_paths, len(live)), dtype=complex)
     S[:, 0] = 1.0
     increments = np.empty((n_paths, steps, spec.brownian_dim))
-    for p in range(n_paths):  # BrownianPath.sample's draws for seed [seed, p]
-        np.random.default_rng([seed, p]).standard_normal(out=increments[p])
+    # BrownianPath.sample's draws for seed [seed, p]
+    for p, path_seed in enumerate(_path_seeds(seed, n_paths)):
+        np.random.default_rng(path_seed).standard_normal(out=increments[p])
     increments *= math.sqrt(dt)
     for k in range(steps):
         delta = dt * (S @ Ra)

@@ -526,6 +526,14 @@ def test_import_loads_no_scipy():
         "sys.modules if m == 'scipy' or m.startswith('scipy.')))") == "[]"
 
 
+def test_import_loads_no_numpy_random():
+    # numpy.random costs about 6 MiB; verify never draws, so only the
+    # commands that do should load it
+    assert python_stdout(
+        "import sys, supersle, supersle.cli; "
+        "print('numpy.random' in sys.modules)") == "False"
+
+
 # the package's exports by defining module, in the order of __all__
 EXPORTS = {
     "grassmann": "EXACT FLOAT CoefficientRing GrassmannNumber NotInvertible "

@@ -54,6 +54,7 @@ from supersle.sde import (
     _eval_table,
     _step_plan,
     _fill_hull,
+    _path_seeds,
     _point_vectors,
     _rasterize_polyline,
     _reachable_masks,
@@ -180,6 +181,59 @@ class TestBrownianPath:
     def test_coarsen_requires_divisor(self):
         with pytest.raises(ValueError):
             BrownianPath.sample(1, 1e-3, 100, 1).coarsen(7)
+
+
+# one-word to four-word seeds (2^96 + 3 puts five words of entropy into the
+# pool of four), and a numpy integer
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**96 + 3,
+         np.uint64(2**63 + 1)]
+
+
+class TestPathSeeds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_seed_sequence(self, seed):
+        seeds = list(_path_seeds(seed, 2048))
+        assert len(seeds) == 2048
+        for p, s in enumerate(seeds):
+            got = s.generate_state(4, np.uint64)
+            want = np.random.SeedSequence([seed, p]).generate_state(
+                4, np.uint64)
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_draws_match_list_seed(self, seed, dim):
+        for p, s in enumerate(_path_seeds(seed, 40)):
+            got = np.random.default_rng(s).standard_normal((300, dim))
+            want = np.random.default_rng([seed, p]).standard_normal((300, dim))
+            assert got.tobytes() == want.tobytes()
+            got = BrownianPath.sample(dim, 1e-3, 300, s).increments
+            want = BrownianPath.sample(dim, 1e-3, 300, [seed, p]).increments
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_refused(self, seed):
+        with pytest.raises(ValueError):
+            _path_seeds(seed, 5)
+        with pytest.raises(ValueError):
+            np.random.default_rng([seed, 0])
+
+    @pytest.mark.parametrize("seed", [1.5, None, "3"])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(TypeError):
+            _path_seeds(seed, 5)
+
+    def test_only_pcg64_state_served(self):
+        [s] = _path_seeds(1, 1)
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64)]:
+            with pytest.raises(ValueError):
+                s.generate_state(n_words, dtype)
+
+    def test_mc_martingale_negative_seed(self):
+        with pytest.raises(ValueError):
+            mc_martingale(spec_32(2), params_from_kappa_ns(2), n_paths=4,
+                          T=0.01, seed=-1)
 
 
 def random_elements(rng, n, count):
@@ -316,6 +370,17 @@ class TestCoefficientTable:
         euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
                        BrownianPath.sample(1, 1e-3, steps, 1))
         assert len(calls) <= 4 * steps + 10
+
+    def test_inverse_chain_builds_no_zero_power(self, monkeypatch):
+        # the Neumann chain ends with a table whose product is empty: the
+        # power after it is zero and never added, so it is not built
+        calls = []
+        tmul = kernel._tmul
+        monkeypatch.setattr(kernel, "_tmul", lambda table, A, B: calls.append(
+            table[0].size) or tmul(table, A, B))
+        system = sde_system(spec_32(2.0, FLOAT))
+        euler_maruyama(system, init_32(), BrownianPath.sample(1, 1e-3, 50, 1))
+        assert calls and 0 not in calls
 
 
 class TestEulerMaruyama:
