@@ -16,7 +16,8 @@ Exit codes (a non-zero exit prints exactly one line on stderr):
 2  'error: ...': usage, parse or file error, a --kappa beyond the float
    range for the float commands (sde, trace), input the numerics refuse
    (swallowed point, vanishing denominator, non-invertible initial point,
-   parity error), or a run too large to allocate (MemoryError).
+   parity error), a trace --bounds span beyond the float range, or a run
+   too large to allocate (MemoryError, e.g. 2^62 trace raster samples).
 --kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5); --cutoff is
 at most MAX_CUTOFF = 10, a basis of 797 PBW words (more exits 2), and a
 file: walk spec has at most MAX_SPEC_GENERATORS = 12 generators.  The
@@ -313,19 +314,9 @@ def _parse_bounds(text):
     xmin, xmax, ymin, ymax = parts
     if not (xmin < xmax and ymin < ymax):
         raise UsageError("--bounds needs xmin < xmax and ymin < ymax")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise UsageError("--bounds spans beyond the float range")
     return parts
-
-
-def _loewner_rows(z_grid, res) -> list:
-    """Header and one row per grid point; a nan time or final_g part is empty."""
-    cols = [a.ravel().tolist() for a in (z_grid.real, z_grid.imag,
-                                         res.swallowed_time, res.final_g.real,
-                                         res.final_g.imag)]
-    rows = ["re,im,swallowed_time,final_g_re,final_g_im"]
-    for x, y, t, u, v in zip(*cols):
-        rows.append(f"{x!r},{y!r},{'' if t != t else repr(t)},"
-                    f"{'' if u != u else repr(u)},{'' if v != v else repr(v)}")
-    return rows
 
 
 def cmd_trace(args) -> int:
@@ -342,10 +333,8 @@ def cmd_trace(args) -> int:
         raster, trace = sde_mod.supertrace_hull(kappa, args.T,
                                                 args.dt, seed, args.grid,
                                                 bounds=bounds)
-        suffix, rows = "_trace.csv", ["t,re,im"]
-        for i, p in enumerate(trace):
-            rows.append(f"{float(i * args.dt)!r},{float(p.real)!r},"
-                        f"{float(p.imag)!r}")
+        suffix, header = "_trace.csv", ["t", "re", "im"]
+        columns = [np.arange(len(trace)) * args.dt, trace.real, trace.imag]
     else:  # loewner
         if bounds is None:
             if args.grid < 3:
@@ -357,10 +346,12 @@ def cmd_trace(args) -> int:
         z_grid = xs[None, :] + 1j * ys[:, None]
         res = sde_mod.loewner_flow(kappa, z_grid, args.T, args.dt, seed)
         raster = sde_mod.HullRaster(bounds=bounds, occupancy=res.swallowed)
-        suffix, rows = "_points.csv", _loewner_rows(z_grid, res)
+        suffix = "_points.csv"
+        header = ["re", "im", "swallowed_time", "final_g_re", "final_g_im"]
+        columns = [z_grid.real, z_grid.imag, res.swallowed_time,
+                   res.final_g.real, res.final_g.imag]
     sde_mod.write_pgm(raster, args.out + ".pgm", config=config)
-    lines = sde_mod._config_lines(config) + rows
-    sde_mod._write_text(args.out + suffix, "\n".join(lines) + "\n")
+    sde_mod.write_csv(header, columns, args.out + suffix, config=config)
     return 0
 
 

@@ -162,14 +162,6 @@ class GrassmannNumber:
     def __truediv__(self, other):
         return self * (sp.S.One / sp.sympify(other))
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GrassmannNumber.scalar(1, self.n, self.ring)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- structure --------------------------------------------------------
 
     def body(self):

@@ -877,7 +877,11 @@ def _rasterize_polyline(points: np.ndarray, bounds, shape) -> np.ndarray:
     cell = min((xmax - xmin) / nx, (ymax - ymin) / ny)
     # segment s gets k[s] samples a + (b - a) * (j / k[s]), j = 1..k[s]
     a, d = points[:-1], points[1:] - points[:-1]
-    k = (np.abs(d) / (0.5 * cell)).astype(int) + 1
+    with np.errstate(all="ignore"):  # a zero cell: an inf or nan count
+        k = np.abs(d) / (0.5 * cell)
+    if not k.sum() < 2.0 ** 62:  # beyond the int cast and any allocation
+        raise MemoryError(f"the trace needs {k.sum():.3g} raster samples")
+    k = k.astype(int) + 1
     seg = np.repeat(np.arange(k.size), k)
     j = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(k) - k, k)
     pts = np.concatenate([points[:1], a[seg] + d[seg] * (j / k[seg])])
@@ -954,33 +958,35 @@ def _config_lines(config: dict | None):
     return [f"# {k}={config[k]}" for k in sorted(config)]
 
 
+def write_csv(header, columns, dest, config: dict | None = None,
+              comment: str | None = None):
+    """Equal-length float columns as rows under the config lines and
+    ``comment``; a cell is its value's repr, and a NaN cell is empty."""
+    cells = [["" if v != v else repr(v) for v in np.ravel(c).tolist()]
+             for c in columns]
+    lines = _config_lines(config) + ([comment] if comment else [])
+    lines += [",".join(header), *map(",".join, zip(*cells, strict=True))]
+    _write_text(dest, "\n".join(lines) + "\n")
+
+
 def write_superpath_csv(sp_path: SuperPath, dest, config: dict | None = None):
     """CSV rows of (t, per-mask Re/Im of z and theta).
 
     A mask gets columns iff some state has a non-zero coefficient there;
-    an exactly zero coefficient is written as 0.0,0.0.
+    an exactly zero coefficient is written as 0.0,0.0 and a NaN part (the
+    CLI refuses to write a non-finite path) as an empty cell.
     """
-    Z, TH = sp_path.Z, sp_path.TH
-    used = (Z != 0).any(axis=0) | (TH != 0).any(axis=0)
-    masks = [int(m) for m in np.flatnonzero(used)] or [0]
-    cols = ["t"]
-    for m in masks:
-        cols += [f"z{m}_re", f"z{m}_im"]
-    for m in masks:
-        cols += [f"theta{m}_re", f"theta{m}_im"]
-    lines = _config_lines(config)
-    if sp_path.swallowed_time is not None:
-        lines.append(f"# status=swallowed t={sp_path.swallowed_time!r}")
-    lines.append(",".join(cols))
-    for t, zs, ths in zip(sp_path.times.tolist(), Z[:, masks].tolist(),
-                          TH[:, masks].tolist()):
-        row = [repr(float(t))]
-        for c in zs + ths:
-            if c == 0:
-                c = 0j
-            row += [repr(c.real), repr(c.imag)]
-        lines.append(",".join(row))
-    _write_text(dest, "\n".join(lines) + "\n")
+    used = (sp_path.Z != 0).any(axis=0) | (sp_path.TH != 0).any(axis=0)
+    masks = np.flatnonzero(used).tolist() or [0]
+    header, columns = ["t"], [sp_path.times]
+    for name, X in (("z", sp_path.Z), ("theta", sp_path.TH)):
+        X = X[:, masks]
+        for m, x in zip(masks, np.where(X == 0, 0j, X).T):
+            header += [f"{name}{m}_re", f"{name}{m}_im"]
+            columns += [x.real, x.imag]
+    t = sp_path.swallowed_time
+    write_csv(header, columns, dest, config,
+              None if t is None else f"# status=swallowed t={t!r}")
 
 
 def write_pgm(raster: HullRaster, dest, config: dict | None = None):

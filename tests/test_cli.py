@@ -199,6 +199,12 @@ class TestSde:
     ["sde", "--spec", "32", "--z0", "0", "--T", "0.1"],
     ["sde", "--spec", "32alt", "--z0", "1e-7", "--T", "0.1"],
     ["sde", "--spec", "virasoro", "--z0", "0", "--T", "0.1"],
+    # a raster of 2^62 or more samples, or a --bounds span beyond the float
+    # range
+    *(["trace", "--mode", "supertrace", "--T", "0.01", f"--bounds={b}"]
+      for b in ("0,1e-18,0,1", "0,1e-300,0,1", "-1e308,1e308,0,1")),
+    ["trace", "--mode", "loewner", "--T", "0.01", "--grid", "4",
+     "--bounds=-1e308,1e308,0,1"],
 ])
 def test_non_finite_or_inverted_input_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--kappa", "1",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from supersle import kernel
 from supersle import sde as sde_module
-from supersle.cli import MAX_CUTOFF, _initial_point, _loewner_rows
+from supersle.cli import MAX_CUTOFF, _initial_point, main
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
 from supersle.kernel import _binv, _bmul, _gvec, _restrict, _tmul
 from supersle.ns_algebra import (
@@ -34,6 +34,7 @@ from supersle.sde import (
     DenominatorVanishes,
     HullRaster,
     LoewnerResult,
+    SuperPath,
     SwallowedPoint,
     closed_form_32,
     closed_form_32_map,
@@ -47,6 +48,7 @@ from supersle.sde import (
     mc_martingale,
     supertrace_hull,
     walk_elements,
+    write_csv,
     write_json_report,
     write_pgm,
     write_superpath_csv,
@@ -1161,6 +1163,7 @@ class TestWriters:
         rows = [l.split(",") for l in lines[3:]]
         assert [float(r[0]) for r in rows] == [0.0, 0.01, 0.02, 0.03, 0.04]
         assert abs(complex(float(rows[-1][1]), float(rows[-1][2]))) < 1e-6
+        assert buf.getvalue() == row_loop_superpath_csv(out, {"seed": 1})
 
     def test_pgm(self):
         raster = HullRaster(bounds=(0, 1, 0, 1),
@@ -1243,6 +1246,9 @@ class TestLoewnerSurvivorsOnly:
         assert res.final_g.tobytes() == want_g.tobytes()
 
 
+# -- the CSV writer against row-by-row reference formatters ----------------------
+
+
 def per_cell_loewner_rows(z_grid, res):
     """The points CSV rows built cell by cell from numpy scalars."""
     rows = ["re,im,swallowed_time,final_g_re,final_g_im"]
@@ -1256,6 +1262,109 @@ def per_cell_loewner_rows(z_grid, res):
     return rows
 
 
+def row_loop_superpath_csv(sp_path, config):
+    """The path CSV written row by row, with a NaN part written as nan."""
+    Z, TH = sp_path.Z, sp_path.TH
+    used = (Z != 0).any(axis=0) | (TH != 0).any(axis=0)
+    masks = [int(m) for m in np.flatnonzero(used)] or [0]
+    cols = ["t"]
+    for m in masks:
+        cols += [f"z{m}_re", f"z{m}_im"]
+    for m in masks:
+        cols += [f"theta{m}_re", f"theta{m}_im"]
+    lines = [f"# {k}={config[k]}" for k in sorted(config)]
+    if sp_path.swallowed_time is not None:
+        lines.append(f"# status=swallowed t={sp_path.swallowed_time!r}")
+    lines.append(",".join(cols))
+    for t, zs, ths in zip(sp_path.times.tolist(), Z[:, masks].tolist(),
+                          TH[:, masks].tolist()):
+        row = [repr(float(t))]
+        for c in zs + ths:
+            if c == 0:
+                c = 0j
+            row += [repr(c.real), repr(c.imag)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def row_loop_trace_rows(trace, dt):
+    """The supertrace CSV rows, each time taken as i * dt in Python floats."""
+    rows = ["t,re,im"]
+    for i, p in enumerate(trace):
+        rows.append(f"{float(i * dt)!r},{float(p.real)!r},{float(p.imag)!r}")
+    return rows
+
+
+def superpath_text(sp_path, config):
+    buf = io.StringIO()
+    write_superpath_csv(sp_path, buf, config=config)
+    return buf.getvalue()
+
+
+def cli_csv(tmp_path, argv, suffix):
+    """The header and rows of the CSV a trace command writes."""
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / f"o{suffix}").read_text().splitlines()
+    return [l for l in lines if not l.startswith("#")]
+
+
+class TestCsvWriter:
+    def test_cells_and_lines(self):
+        buf = io.StringIO()
+        write_csv(["a", "b"], [np.array([-0.0, np.inf, 1e-300]),
+                               [np.nan, 0.1, np.nan]],
+                  buf, config={"seed": 3, "kappa": "2"}, comment="# note")
+        assert buf.getvalue() == ("# kappa=2\n# seed=3\n# note\na,b\n"
+                                  "-0.0,\ninf,0.1\n1e-300,\n")
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValueError):
+            write_csv(["a", "b"], [np.zeros(3), np.zeros(2)], io.StringIO())
+
+    @pytest.mark.parametrize("name, init, seed", [
+        ("32", init_32(), 7), ("32alt", init_32alt(), 3),
+        ("virasoro", None, 4)])
+    def test_superpath_matches_row_loop(self, name, init, seed):
+        spec = standard_spec(name, 2.0, FLOAT)
+        if init is None:
+            init = _initial_point(spec, 2.0)
+        path = BrownianPath.sample(spec.brownian_dim, 1e-3, 1000, seed)
+        out = euler_maruyama(sde_system(spec), init, path)
+        config = {"spec": name, "seed": seed}
+        assert superpath_text(out, config) == row_loop_superpath_csv(out,
+                                                                     config)
+
+    def test_superpath_edge_cells(self):
+        # -0.0 parts, zero coefficients of a used mask, 1e-300 and inf
+        Z = np.array([[2.0, complex(-0.0, -0.0), complex(1e-300, -0.0), 0],
+                      [complex(np.inf, 1), 0, complex(-0.0, 1e-300), 0]])
+        TH = np.array([[0, 0, 0, 0], [0, complex(-np.inf, -0.0), 0, 0]])
+        out = SuperPath(times=np.array([0.0, 0.5]), Z=Z, TH=TH)
+        text = superpath_text(out, {"seed": 0})
+        assert text == row_loop_superpath_csv(out, {"seed": 0})
+        assert text.splitlines()[2:] == [
+            "0.0,2.0,0.0,0.0,0.0,1e-300,-0.0,0.0,0.0,0.0,0.0,0.0,0.0",
+            "0.5,inf,1.0,0.0,0.0,-0.0,1e-300,0.0,0.0,-inf,-0.0,0.0,0.0"]
+
+    def test_superpath_nan_cell_is_empty(self):
+        Z = np.array([[2.0, 0], [complex(np.nan, 1.5), complex(0.0, np.nan)]])
+        out = SuperPath(times=np.array([0.0, 0.5]), Z=Z, TH=np.zeros((2, 2)))
+        lines = superpath_text(out, {}).splitlines()
+        assert lines[0] == "t,z0_re,z0_im,z1_re,z1_im,theta0_re,theta0_im," \
+                           "theta1_re,theta1_im"
+        assert lines[2] == "0.5,,1.5,0.0,,0.0,0.0,0.0,0.0"
+        assert row_loop_superpath_csv(out, {}).splitlines()[2] == \
+            "0.5,nan,1.5,0.0,nan,0.0,0.0,0.0,0.0"
+
+    def test_supertrace_csv_matches_row_loop(self, tmp_path):
+        rows = cli_csv(tmp_path, [
+            "trace", "--mode", "supertrace", "--kappa", "3", "--T", "0.5",
+            "--dt", "1e-4", "--seed", "2", "--grid", "7"], "_trace.csv")
+        _, trace = supertrace_hull(3.0, 0.5, 1e-4, 2, 7)
+        assert len(rows) == 1 + 5001
+        assert rows == row_loop_trace_rows(trace, 1e-4)
+
+
 class TestLoewnerRows:
     def test_nan_and_signed_zero_cells(self):
         z = np.array([[complex(-0.0, 0.5), complex(0.25, -0.0), 1e-300 + 2j,
@@ -1266,16 +1375,23 @@ class TestLoewnerRows:
             final_g=np.array([[complex(-0.0, 1.5), complex(np.nan, 0.0),
                                complex(np.nan, -0.0),
                                complex(np.nan, np.nan)]]))
-        rows = _loewner_rows(z, res)
+        buf = io.StringIO()
+        write_csv(["re", "im", "swallowed_time", "final_g_re", "final_g_im"],
+                  [z.real, z.imag, res.swallowed_time, res.final_g.real,
+                   res.final_g.imag], buf)
+        rows = buf.getvalue().splitlines()
         assert rows == per_cell_loewner_rows(z, res)
         assert rows[1:] == ["-0.0,0.5,,-0.0,1.5", "0.25,-0.0,0.0,,0.0",
                             "1e-300,2.0,0.125,,-0.0", "1.0,1.0,0.5,,"]
 
-    def test_swallowed_flow(self):
+    def test_swallowed_flow(self, tmp_path):
+        rows = cli_csv(tmp_path, [
+            "trace", "--mode", "loewner", "--kappa", "2", "--T", "1",
+            "--seed", "5", "--grid", "32"], "_points.csv")
         z = loewner_grid(32, (-2.0, 2.0, 4.0 / 32, 2.0))
         res = loewner_flow(2.0, z, 1.0, 1e-3, 5)
         assert res.swallowed.any() and not res.swallowed.all()
-        assert _loewner_rows(z, res) == per_cell_loewner_rows(z, res)
+        assert rows == per_cell_loewner_rows(z, res)
 
 
 def dense_conservation_check_32(init, path, kappa):
@@ -1361,6 +1477,14 @@ class TestRasterizePolyline:
         bounds, shape = (-1.0, 2.0, -1.0, 2.0), (7, 5)
         assert np.array_equal(_rasterize_polyline(points, bounds, shape),
                               loop_rasterize_polyline(points, bounds, shape))
+
+    @pytest.mark.parametrize("width", [1e-18, 1e-300, 1e-323])
+    def test_sample_count_beyond_int64_refused(self, width):
+        # 2^62 samples or more (or an infinite count) would overflow the
+        # int cast; the refusal is a MemoryError, before any allocation
+        points = np.array([0j, 0.5 + 0.5j])
+        with pytest.raises(MemoryError, match="raster samples"):
+            _rasterize_polyline(points, (0.0, width, 0.0, 1.0), (128, 128))
 
 
 def batched_cf32_core(z0, th0, kappa, times, B):
