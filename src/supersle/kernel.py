@@ -5,10 +5,11 @@ vector over the 2^n monomial masks; a batch of them is an array of shape
 (..., 2^n).  Products of two batches go through one sparse Koszul pair
 table per n, the float counterpart of ``GrassmannNumber.__mul__``.  When
 the factors are known to vanish off some masks, the product can run through
-the table restricted to them, with the same non-zero bits; a constant times
-a batch runs through the table of the constant's masks against every mask.
-Euler stepping, the closed forms and the Monte-Carlo mask closure in
-``supersle.sde`` all work in this format.
+the table restricted to them, with the same non-zero bits; the restricted
+table's indices may also be remapped to the columns of a compact array.
+The closed forms and the Monte-Carlo mask closure in ``supersle.sde`` work
+in this format, and its Euler step program multiplies states through
+``_tmul`` on compact columns.
 """
 
 from __future__ import annotations
@@ -51,13 +52,8 @@ def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms, starts, axis=-1)
 
 
-def _binv(A: np.ndarray, chain=None) -> np.ndarray:
-    """Batched inverse via the Neumann series over the nilpotent soul.
-
-    ``chain`` lists the ``_restrict`` tables of soul^m soul for each soul^m
-    that can be non-zero; without it the full table runs until soul^m = 0.
-    """
-    n = A.shape[-1].bit_length() - 1
+def _binv(A: np.ndarray) -> np.ndarray:
+    """Batched inverse via the Neumann series over the nilpotent soul."""
     body = A[..., 0]
     if (body == 0.0).any():
         raise NotInvertible("vanishing body in batched inverse")
@@ -66,15 +62,12 @@ def _binv(A: np.ndarray, chain=None) -> np.ndarray:
     out = np.zeros(A.shape, dtype=A.dtype)
     out[..., 0] = 1.0 / body
     power, bpow = minus_soul, body
-    for table in [None] * n if chain is None else chain:
-        if table is None and not power.any():
+    for _ in range(A.shape[-1].bit_length() - 1):  # soul^m = 0 for m > n
+        if not power.any():
             break
         bpow = bpow * body
         out += power / bpow[..., None]
-        if table is None:
-            power = _bmul(power, minus_soul)
-        elif table[0].size:  # else soul^m soul = 0 and the chain ends
-            power = _tmul(table, power, minus_soul)
+        power = _bmul(power, minus_soul)
     return out
 
 
@@ -113,15 +106,23 @@ def _restrict(n: int, lsup, rsup):
     return dst[starts], left[keep], right[keep], signs[keep], starts
 
 
-def _tmul(table, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _tmul(table, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """A B through a restricted table, zero off its dst.
 
-    A and B may differ in leading shape, as a constant (2^n,) times a batch
-    (..., 2^n); the product takes the shape of the table's sums.
+    A and B may differ in leading shape; the product takes the shape of the
+    table's sums.  With ``out``, the sums are written there in dst order
+    instead, left and right index the last axes of A and B, signs may be
+    None for all +1, and starts None when every group is one triple.
     """
     dst, left, right, signs, starts = table
-    sums = np.add.reduceat(A[..., left] * B[..., right] * signs, starts,
-                           axis=-1)
-    out = np.zeros(sums.shape[:-1] + A.shape[-1:], dtype=complex)
-    out[..., dst] = sums
+    direct = out if starts is None else None  # the terms are the sums
+    terms = np.multiply(A[..., left], B[..., right],
+                        out=direct if signs is None else None)
+    if signs is not None:
+        terms = np.multiply(terms, signs, out=direct)
+    if out is None:
+        out = np.zeros(terms.shape[:-1] + A.shape[-1:], dtype=complex)
+        out[..., dst] = np.add.reduceat(terms, starts, axis=-1)
+    elif direct is None:
+        np.add.reduceat(terms, starts, axis=-1, out=out)
     return out

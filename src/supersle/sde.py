@@ -1,12 +1,14 @@
 """Numerical integration of graded stochastic evolutions.
 
 Float-coefficient Grassmann states are the dense mask vectors of
-``supersle.kernel``, so Euler--Maruyama stepping, closed-form evaluation
-and Monte-Carlo averaging are plain numpy array operations.  The Monte-Carlo
-check steps only the (word, mask) states reachable from the identity, with
-words normal-ordered by ``ns_algebra.VermaModule``.  The module also provides
-the classical Loewner flow and rasterized hulls of the scaled complex
-Brownian trace.
+``supersle.kernel``, so closed-form evaluation and Monte-Carlo averaging
+are plain numpy array operations.  Euler--Maruyama compiles the SDE once per
+integration to a step program on compact columns: z and theta on the masks
+the batch can reach, plus the products of a step.  The Monte-Carlo check
+steps only the (word, mask) states reachable from the identity, with words
+normal-ordered by ``ns_algebra.VermaModule``.  The module also provides the
+classical Loewner flow and rasterized hulls of the scaled complex Brownian
+trace.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 import sympy as sp
@@ -218,106 +220,157 @@ def _check_brownian_dim(system_dim: int, path_dim: int):
                          f"the driving path has {path_dim}")
 
 
-def _coefficient_table(fns, n: int):
-    """The coefficients of Laurent superfunctions ``fns`` for ``_step_plan``.
-
-    Returns one ([(k, a_k)], [(k, b_k)]) pair of mask vectors per function,
-    in dict order, and the lowest and highest exponent over all of them.
-    """
-    coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
-    if any(mask >> n for c in coeffs for mask in c.terms):
-        raise ValueError(f"the SDE coefficients have {max(c.n for c in coeffs)} "
-                         f"Grassmann generators but the initial point has only {n}")
-    table = [tuple([(k, _gvec(c, n)) for k, c in part.items()]
-                   for part in (F.a, F.b)) for F in fns]
-    exps = [k for F in fns for k in (*F.a, *F.b)]
-    return table, min(exps, default=0), max(exps, default=0)
-
-
 def _union(*supports) -> np.ndarray:
     return np.array(sorted({int(m) for s in supports for m in s}), dtype=int)
 
 
-def _plan_part(part, sup, n: int):
-    """A part [(k, c_k)] as [(k, c_k, table or None)], and the masks it
-    reaches from the masks sup[k] of the z powers.  The table of c_k z^k
-    pairs c_k's masks with every mask; the constant term needs none."""
-    every = np.arange(1 << n)
-    planned = [(k, c, _restrict(n, np.flatnonzero(c), every) if k else None)
-               for k, c in part]
-    reach = _union(*(_restrict(n, np.flatnonzero(c), sup[k])[0] if k
-                     else np.flatnonzero(c) for k, c in part))
-    return planned, reach
+# zsup, tsup: the masks of z and theta in the work array's first columns;
+# lo: z's lowest power; ops: (f, args, out), each run as f(*W[:, args],
+# out=W[:, out]); out: the columns of the functions, two to a row
+_StepPlan = namedtuple("_StepPlan", "zsup tsup lo ops out")
 
 
-_StepPlan = namedtuple("_StepPlan", "ladder chain fns zsup tsup")
+def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
+    """Laurent superfunctions ``fns`` compiled to one Euler step, and the
+    (paths, width) work array of the step at the batch (z0, th0).
 
-
-def _step_plan(table, lo: int, hi: int, n: int, zsup, tsup) -> _StepPlan:
-    """Restricted tables for ``_eval_table`` on the masks z and theta reach.
-
-    zsup and tsup, the masks of the initial batch, grow to the fixed point
-    of one Euler step.  The plan holds the (k, table) of the z^k ladder, the
-    Neumann chain of z^-1 (None for lo >= 0), per function its value if it
-    is constant, else its two ``_plan_part``s and the table of theta b(z)
-    (None when b vanishes), and the grown masks.
+    z, with its body, and theta keep the masks where some path is non-zero,
+    grown to the fixed point of one step.  A register is (mask -> column
+    map, columns, masks).  A constant c times z^k folds c's signs in once
+    and keeps the table of c's masks against every mask: numpy picks an FMA
+    or a plain loop by operand shape, so each product keeps its dense
+    shapes.  A shared product runs once; each value sums its terms in the
+    dense order from +0 (from -0, which adds nothing, for a constant).
     """
+    n = z0.shape[-1].bit_length() - 1
+    coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
+    if any(mask >> n for c in coeffs for mask in c.terms):
+        raise ValueError(f"the SDE coefficients have {max(c.n for c in coeffs)} "
+                         f"Grassmann generators but the initial point has only {n}")
+    table = [[[(k, _gvec(c, n)) for k, c in part.items()]
+              for part in (F.a, F.b)] for F in fns]
+    exps = [k for F in fns for k in (*F.a, *F.b)]
+    lo, hi = min(exps, default=0), max(exps, default=0)
+
+    def alloc(masks, count=None):  # a register; other masks read +0
+        count = len(masks) if count is None else count
+        used[0] += count
+        lut = np.full(1 << n, ncols)
+        lut[list(masks)] = np.arange(used[0] - len(masks), used[0])
+        return lut, slice(used[0] - count, used[0]), masks
+
+    def column(term):  # a coefficient gets a constant column
+        if isinstance(term, complex):
+            consts.append((alloc((), 1)[1].start, term))
+            return consts[-1][0]
+        return term
+
+    def op(f, args, masks=(), count=None):  # the register f computes
+        reg = alloc(masks, count)
+        ops.append((f, args, reg[1]))
+        return reg
+
+    def product(table, left, right):  # each factor a map, or a constant
+        dst, lm, rm, signs, starts = table
+        starts = None if starts.size == lm.size else starts
+        if left.dtype.kind == "c":  # c[left] * sign stays 1-d, as it was
+            times_c = partial(np.multiply, left[lm] * signs)
+            if starts is None:
+                return op(times_c, (right[rm],), dst)
+            terms = op(times_c, (right[rm],), (), lm.size)[1]
+            return op(partial(np.add.reduceat, indices=starts, axis=-1),
+                      (terms,), dst)
+        if right.dtype.kind == "c":  # theta times a constant: fold its signs
+            right = np.array([column(v) for v in right[rm] * signs], dtype=int)
+            signs = np.abs(signs)
+        else:
+            right = right[rm]
+        return op(partial(_tmul, (dst, left[lm], right, None if (
+            signs > 0).all() else signs, starts)), (slice(None),) * 2, dst)
+
+    def terms(part, sums):  # sums[mask] += [coefficient or column]
+        for k, c in part:
+            key = (k, c.tobytes())
+            if k and key not in products:
+                products[key] = product(_restrict(n, np.flatnonzero(c), range(
+                    1 << n)), c, regs[k][0])[0]
+            for m in (_restrict(n, np.flatnonzero(c), regs[k][2])[0] if k
+                      else np.flatnonzero(c)).tolist():
+                sums.setdefault(m, []).append((products[key] if k else c)[m])
+        return sums
+
+    def summation(lists, masks, start=0.0):  # start + the sum of each list
+        cols = [np.array([column(t[j]) if t[j:] else neg if j else ncols
+                          for t in lists], dtype=int)
+                for j in range(max([1, *map(len, lists)]))]
+        reg = op(partial(np.add, start), cols[:1], masks, len(lists))
+        ops.extend((np.add, (reg[1], c), reg[1]) for c in cols[1:])
+        return reg
+
+    zsup = _union([0], np.flatnonzero(z0.any(axis=0)))  # with the body
+    tsup = np.flatnonzero(th0.any(axis=0))
     while True:
-        sup, chain, ladder, fns, reach = {1: zsup}, None, [], [], []
-        if lo < 0:
-            chain, soul = [], zsup[zsup > 0]
-            power, sup[-1] = soul, _union([0], soul)
-            while power.size:
-                chain.append(_restrict(n, power, soul))
-                power = chain[-1][0]
-                sup[-1] = _union(sup[-1], power)
+        nz, ncols = zsup.size, zsup.size + tsup.size
+        used, consts, ops, products = [0], [], [], {}
+        regs = {1: alloc(zsup), "t": alloc(tsup)}
+        column(0j)  # the +0 column, number ncols
+        neg = column(complex(-0.0, -0.0))
+        if lo < 0:  # z^-1 = 1/body + sum_m (-soul)^m / body^(m+1)
+            body = bpow = slice(0, 1)
+            sums = {0: [op(partial(np.divide, 1.0), (body,), (), 1)[1].start]}
+            ms = power = op(np.negative, (slice(1, nz),), zsup[1:])
+            while power[2].size:
+                bpow = op(np.multiply, (bpow, body), (), 1)[1]
+                q = op(np.divide, (power[1], bpow), power[2])
+                for m in power[2].tolist():
+                    sums.setdefault(m, []).append(q[0][m])
+                t = _restrict(n, power[2], zsup[1:])
+                power = product(t, power[0], ms[0]) if t[0].size else alloc(t[0])
+            regs[-1] = summation(list(sums.values()), list(sums))
         for k in (*range(2, hi + 1), *range(-2, lo - 1, -1)):
             s = 1 if k > 0 else -1
-            ladder.append((k, _restrict(n, sup[k - s], sup[s])))
-            sup[k] = ladder[-1][1][0]
-        for a, b in table:
-            (a, asup), (b, bsup) = (_plan_part(p, sup, n) for p in (a, b))
-            thb = _restrict(n, tsup, bsup) if bsup.size else None
-            if thb is None and not any(k for k, *_ in a):
-                fns.append(a[0][1] if a else np.zeros(1 << n, dtype=complex))
-            else:
-                fns.append((a, b, thb))
-            reach.append(asup if thb is None else _union(asup, thb[0]))
-        grown = (_union(zsup, *reach[0::2]), _union(tsup, *reach[1::2]))
-        if grown[0].size == zsup.size and grown[1].size == tsup.size:
-            return _StepPlan(ladder, chain, fns, zsup, tsup)
-        zsup, tsup = grown
+            regs[k] = product(_restrict(n, regs[k - s][2], regs[s][2]),
+                              regs[k - s][0], regs[s][0])
+        reach, value, start = [zsup, tsup], {}, {}
+        for f, (a, b) in enumerate(table):
+            sums, vb = terms(a, {}), terms(b, {})
+            if vb:  # theta b(z)
+                if b[1:]:
+                    right = summation(list(vb.values()), list(vb))[0]
+                else:  # one term: its product, or the constant itself
+                    k, c = b[0]
+                    right = products[k, c.tobytes()] if k else c
+                thb = _restrict(n, tsup, list(vb))
+                tlut = product(thb, regs["t"][0], right)[0]
+                for m in thb[0].tolist():
+                    sums.setdefault(m, []).append(tlut[m])
+            reach[f % 2] = _union(reach[f % 2], sums)
+            pos = regs["t" if f % 2 else 1][0] + f // 2 * ncols
+            if not vb and not any(k for k, _ in a):  # a constant function
+                c = a[0][1] if a else np.zeros(1 << n, dtype=complex)
+                sums = {m: [c[m]] for m in (tsup if f % 2 else zsup).tolist()}
+                start.update((pos[m], complex(-0.0, -0.0)) for m in sums)
+            value.update((pos[m], v) for m, v in sums.items())
+        if reach[0].size == zsup.size and reach[1].size == tsup.size:
+            break
+        zsup, tsup = reach
+    rows = range((len(table) + 1) // 2 * ncols)
+    out = summation([value.get(p, []) for p in rows], (),
+                    np.array([start.get(p, 0j) for p in rows]))[1]
+    # column-major: a register is one block, a column contiguous over paths,
+    # and no product's factors overlap its ``out`` (numpy would then take
+    # its plain, non-FMA loop)
+    W = np.zeros((len(z0), used[0]), dtype=complex, order="F")
+    W[:, [c for c, _ in consts]] = [v for _, v in consts]
+    W[:, :ncols] = np.hstack([z0[:, zsup], th0[:, tsup]])
+    return _StepPlan(zsup, tsup, lo, ops, out), W
 
 
-def _eval_table(plan: _StepPlan, Z: np.ndarray, TH: np.ndarray) -> list:
-    """Every function of the plan at batched points (..., 2^n).
-
-    One z-power ladder, and one inverse when the plan has a chain, serve
-    them all; a constant times z^k runs through the constant's table, so
-    only theta b(z) multiplies two states.
-    """
-    pows = {1: Z}
-    if plan.chain is not None:
-        pows[-1] = _binv(Z, plan.chain)
-    for k, table in plan.ladder:
-        s = 1 if k > 0 else -1
-        pows[k] = _tmul(table, pows[k - s], pows[s])
-
-    def value(part):
-        acc = np.zeros(Z.shape, dtype=complex)
-        for k, c, table in part:
-            acc += _tmul(table, c, pows[k]) if k else c
-        return acc
-
-    out = []
-    for fn in plan.fns:
-        if not isinstance(fn, np.ndarray):  # else a constant function
-            a, b, thb = fn
-            fn = value(a)
-            if thb is not None:
-                fn += _tmul(thb, TH, value(b))
-        out.append(fn)
-    return out
+def _derivative(plan: _StepPlan, W: np.ndarray) -> np.ndarray:
+    """Every function at the state in W, shape (paths, rows, ncols)."""
+    for f, args, out in plan.ops:
+        f(*[W[:, a] for a in args], out=W[:, out])
+    return W[:, plan.out].reshape(len(W), -1, plan.zsup.size + plan.tsup.size)
 
 
 def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
@@ -327,49 +380,51 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     Returns (Z, TH) of shape (paths, steps+1, 2^n), or (paths, 1, 2^n) for
     the terminal states only without ``history``, and the first swallowing
     step index per path (steps+1 when never swallowed).  Swallowed paths
-    are frozen at their last valid state.  Every step runs on the masks the
-    batch can reach (``_step_plan``).
+    are frozen at their last valid state.  The batch steps on the compact
+    columns of ``_step_plan``; a recorded state goes into Z and TH on its
+    masks.
     """
     paths, steps, dim = increments.shape
     _check_brownian_dim(len(system.diffusion), dim)
-    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
-    n = z0.shape[-1].bit_length() - 1
-    table, lo, hi = _coefficient_table(fns, n)
-    plan = _step_plan(table, lo, hi, n, np.flatnonzero(z0.any(axis=0)),
-                      np.flatnonzero(th0.any(axis=0)))
-    Z = np.zeros((paths, steps + 1 if history else 1, 1 << n), dtype=complex)
+    plan, W = _step_plan([*system.drift, *(
+        f for pair in system.diffusion for f in pair)], z0, th0)
+    nz = plan.zsup.size
+    S = W[:, :nz + plan.tsup.size]
+    Z = np.zeros((paths, steps + 1 if history else 1, z0.shape[-1]), complex)
     TH = np.zeros_like(Z)
-    Z[:, 0] = z0
-    TH[:, 0] = th0
+
+    def record(rows):  # the state into those rows of Z and TH
+        Z[:, rows, plan.zsup] = S[:, None, :nz]
+        TH[:, rows, plan.tsup] = S[:, None, nz:]
+
     swallowed = np.full(paths, steps + 1, dtype=int)
-    z = Z[:, 0].copy()
-    th = TH[:, 0].copy()
-    dBs = increments.transpose(1, 2, 0)[..., None]
     active = None  # None while no path is swallowed
     for k in range(steps):
-        if lo < 0:
-            hit = np.abs(z[:, 0]) < _SWALLOW_EPS
+        if plan.lo < 0:
+            size = np.abs(W[:, 0])
+            hit = size < _SWALLOW_EPS
             if hit.any():
                 swallowed[hit & (swallowed > steps)] = k
                 active = swallowed > steps
                 if not active.any():
-                    Z[:, k + 1:] = z[:, None, :]
-                    TH[:, k + 1:] = th[:, None, :]
+                    record(slice(k + 1, None))
                     break
-        zd, td, *diffusion = _eval_table(plan, z, th)
-        znew = z + dt * zd
-        tnew = th + dt * td
-        for i, dB in enumerate(dBs[k]):
-            znew = znew + dB * diffusion[2 * i]
-            tnew = tnew + dB * diffusion[2 * i + 1]
-        if active is None:
-            z, th = znew, tnew
-        else:
-            z = np.where(active[:, None], znew, z)
-            th = np.where(active[:, None], tnew, th)
+                if not size.all():
+                    raise NotInvertible("vanishing body in batched inverse")
+        D = _derivative(plan, W)
+        new = S if active is None else S.copy()
+        new += dt * D[:, 0]
+        for inc in (increments[:, k, :, None] * D[:, 1:]).transpose(1, 0, 2):
+            new += inc
+        if active is not None:
+            S[...] = np.where(active[:, None], new, S)
         if history:
-            Z[:, k + 1], TH[:, k + 1] = z, th
-    Z[:, -1], TH[:, -1] = z, th  # the only row without history
+            record(slice(k + 1, k + 2))
+    record(slice(-1, None))
+    frozen = swallowed == 0  # z0 as given, with its signed zeros
+    Z[frozen], TH[frozen] = z0[frozen, None], th0[frozen, None]
+    if history or not steps:
+        Z[:, 0], TH[:, 0] = z0, th0
     return Z, TH, swallowed
 
 
@@ -961,12 +1016,17 @@ def _config_lines(config: dict | None):
 def write_csv(header, columns, dest, config: dict | None = None,
               comment: str | None = None):
     """Equal-length float columns as rows under the config lines and
-    ``comment``; a cell is its value's repr, and a NaN cell is empty."""
-    cells = [["" if v != v else repr(v) for v in np.ravel(c).tolist()]
-             for c in columns]
+    ``comment``; a cell is its value's repr, and a NaN cell is empty.  Rows
+    are formatted and written 4096 at a time, to bound the strings held."""
+    columns = [np.ravel(c) for c in columns]
+    if len({c.size for c in columns}) > 1:
+        raise ValueError("the CSV columns differ in length")
     lines = _config_lines(config) + ([comment] if comment else [])
-    lines += [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    _write_text(dest, "\n".join(lines) + "\n")
+    _write_text(dest, "\n".join([*lines, ",".join(header)]) + "\n", (
+        "".join(f"{row}\n" for row in map(",".join, zip(*(
+            ["" if v != v else repr(v) for v in c[i:i + 4096].tolist()]
+            for c in columns))))
+        for i in range(0, columns[0].size if columns else 0, 4096)))
 
 
 def write_superpath_csv(sp_path: SuperPath, dest, config: dict | None = None):
@@ -1005,9 +1065,11 @@ def write_json_report(report: dict, dest, config: dict | None = None):
     _write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_text(dest, text: str):
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
+def _write_text(dest, text: str, blocks=()):
+    """text, then each string of ``blocks``, to a path or an open file."""
+    if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            return _write_text(fh, text, blocks)
+    dest.write(text)
+    for block in blocks:
+        dest.write(block)

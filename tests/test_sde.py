@@ -1,6 +1,8 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from supersle import kernel
 from supersle import sde as sde_module
 from supersle.cli import MAX_CUTOFF, _initial_point, main
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
-from supersle.kernel import _binv, _bmul, _gvec, _restrict, _tmul
+from supersle.kernel import _binv, _bmul, _gvec, _tmul
 from supersle.ns_algebra import (
     CutoffOverflow,
     G,
@@ -52,8 +54,7 @@ from supersle.sde import (
     write_json_report,
     write_pgm,
     write_superpath_csv,
-    _coefficient_table,
-    _eval_table,
+    _derivative,
     _step_plan,
     _fill_hull,
     _path_seeds,
@@ -268,16 +269,18 @@ class TestGrassmannKernel:
 
     @pytest.mark.parametrize("n", range(9))
     def test_gather_matches_bmul(self, n):
-        # a constant times a batch runs through the table of the constant's
-        # masks against every mask; a constant whose every value is real or
-        # imaginary gives single products that round the same in any numpy
-        # loop, so the product must reproduce _bmul bit for bit; a general
-        # complex constant may move the last bit, as numpy's vector and tail
-        # loops round a complex product differently
-        every = np.arange(1 << n)
-
+        # the Euler step's c z runs through the table of the constant's
+        # masks against every mask, c[left] * sign folded; a constant whose
+        # every value is real or imaginary gives single products that round
+        # the same in any numpy loop, so the product must reproduce _bmul
+        # bit for bit; a general complex constant may move the last bit, as
+        # numpy's vector and tail loops round a complex product differently
         def times(c, B):
-            return _tmul(_restrict(n, np.flatnonzero(c), every), c, B)
+            F = LaurentSuperfunction({1: GrassmannNumber(n, FLOAT, {
+                int(m): complex(c[m]) for m in np.flatnonzero(c)})})
+            plan, W = _step_plan([F, LaurentSuperfunction()], B,
+                                 np.zeros_like(B))
+            return function_values(plan, _derivative(plan, W), 1, n)[0]
 
         rng = np.random.default_rng(400 + n)
         for count, batch in [(1, 1), (2, 4), (3, 4), (3, 50)]:
@@ -306,6 +309,21 @@ def random_grassmann(rng, n, masks, count):
     picked = rng.choice(masks, size=min(count, len(masks)), replace=False)
     return GrassmannNumber(n, FLOAT, {
         int(m): complex(*rng.normal(size=2)) for m in picked})
+
+
+def function_values(plan, D, count, n):
+    """Each function of a compiled step over all 2^n masks, from the
+    (paths, rows, ncols) derivative D: two functions to a row, z's on
+    ``zsup`` and theta's on ``tsup``."""
+    nz, values = plan.zsup.size, []
+    for f in range(count):
+        value = np.zeros((len(D), 1 << n), dtype=complex)
+        if f % 2:
+            value[:, plan.tsup] = D[:, f // 2, nz:]
+        else:
+            value[:, plan.zsup] = D[:, f // 2, :nz]
+        values.append(value)
+    return values
 
 
 class TestCoefficientTable:
@@ -337,11 +355,10 @@ class TestCoefficientTable:
                       for p in points])
         TH = np.array([[complex(p.theta.coefficient(m)) for m in masks]
                        for p in points])
-        table, lo, hi = _coefficient_table(fns, n)
-        assert (lo, hi) == (-3, 2)
-        plan = _step_plan(table, lo, hi, n, np.flatnonzero(Z.any(axis=0)),
-                          np.flatnonzero(TH.any(axis=0)))
-        values = _eval_table(plan, Z, TH)
+        assert max(k for F in fns for k in (*F.a, *F.b)) == 2
+        plan, W = _step_plan(fns, Z, TH)
+        assert plan.lo == -3
+        values = function_values(plan, _derivative(plan, W), len(fns), n)
         assert len(values) == len(fns)
         for F, got in zip(fns, values):
             for p, row in zip(points, got):
@@ -362,12 +379,22 @@ class TestCoefficientTable:
         assert 0 < len(calls) <= count + 2
 
     def test_constant_coefficients_skip_pair_table(self, monkeypatch):
-        # per step: two Neumann powers of the soul of z and two theta b(z)
-        # products; every constant coefficient is a gather
+        # per step: the Neumann power of the soul of z and two theta b(z)
+        # products multiply states, both factors read from the work array;
+        # every constant coefficient is folded into its own product, and no
+        # dense product runs
         calls = []
-        counted = lambda A, B: calls.append(1) or _bmul(A, B)
-        for module in (kernel, sde_module):  # _binv's powers and sde's own
-            monkeypatch.setattr(module, "_bmul", counted)
+        tmul = sde_module._tmul
+
+        def counted(table, A, B, out=None):
+            assert np.shares_memory(A, B) and np.shares_memory(A, out)
+            calls.append(1)
+            return tmul(table, A, B, out=out)
+
+        monkeypatch.setattr(sde_module, "_tmul", counted)
+        for module in (kernel, sde_module):
+            monkeypatch.setattr(module, "_bmul", lambda A, B: pytest.fail(
+                "a dense product in the Euler step"))
         steps = 1000
         euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
                        BrownianPath.sample(1, 1e-3, steps, 1))
@@ -377,12 +404,44 @@ class TestCoefficientTable:
         # the Neumann chain ends with a table whose product is empty: the
         # power after it is zero and never added, so it is not built
         calls = []
-        tmul = kernel._tmul
-        monkeypatch.setattr(kernel, "_tmul", lambda table, A, B: calls.append(
-            table[0].size) or tmul(table, A, B))
+        tmul = sde_module._tmul
+        monkeypatch.setattr(
+            sde_module, "_tmul", lambda table, A, B, out=None: calls.append(
+                table[0].size) or tmul(table, A, B, out=out))
         system = sde_system(spec_32(2.0, FLOAT))
         euler_maruyama(system, init_32(), BrownianPath.sample(1, 1e-3, 50, 1))
         assert calls and 0 not in calls
+
+    def test_spec_32_computes_c_over_z_once(self):
+        # c z^-1, c = p0 p1 p2, is theta's drift and the b(z) of z's drift
+        # theta b(z): the step has one constant product, run once per step,
+        # and both functions read its columns
+        system = sde_system(spec_32(2.0, FLOAT))
+        fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+        z0, th0 = (np.tile(v, (3, 1)) for v in _point_vectors(init_32()))
+        plan, W = _step_plan(fns, z0, th0)
+        runs = []
+        ops = [(partial(lambda f, *a, out: runs.append(1) or f(*a, out=out),
+                        f), args, out)
+               if isinstance(f, partial) and f.func is np.multiply
+               else (f, args, out) for f, args, out in plan.ops]
+        (out,) = [out for f, args, out in plan.ops
+                  if isinstance(f, partial) and f.func is np.multiply]
+        counted = plan._replace(ops=ops)
+        for _ in range(5):
+            D = _derivative(counted, W)
+        assert len(runs) == 5
+        columns = set(range(out.start, out.stop))
+        nz = plan.zsup.size
+        (theta_b,) = [f.args[0] for f, args, _ in plan.ops
+                      if isinstance(f, partial) and f.func is _tmul
+                      and set(f.args[0][2].tolist()) <= columns]
+        assert theta_b[0].tolist() == [15]  # theta p3 times c z^-1 on p0p1p2
+        first = [args[0] for f, args, o in plan.ops if o == plan.out][0]
+        assert first[nz + plan.tsup.tolist().index(7)] in columns
+        values = function_values(plan, D, len(fns), 4)
+        c_over_z = _bmul(_gvec(fns[1].a[-1], 4), _binv(z0))
+        assert np.array_equal(bits(values[1]), bits(c_over_z + 0.0))
 
 
 class TestEulerMaruyama:
@@ -1363,6 +1422,40 @@ class TestCsvWriter:
         _, trace = supertrace_hull(3.0, 0.5, 1e-4, 2, 7)
         assert len(rows) == 1 + 5001
         assert rows == row_loop_trace_rows(trace, 1e-4)
+
+
+    def test_points_csv_peak_memory(self, tmp_path):
+        # a 128 x 128 Loewner points file: the rows are formatted and
+        # written in blocks, so the tracemalloc peak stays within 1.1 times
+        # that of a row loop that joins every row string first; the bytes
+        # are the same
+        rng = np.random.default_rng(0)
+        z = loewner_grid(128, (-2.0, 2.0, 4.0 / 128, 2.0))
+        t = rng.random(z.shape)
+        t[rng.random(z.shape) < 0.7] = np.nan
+        g = z + rng.normal(size=z.shape) * (1 + 1j)
+        g[~np.isnan(t)] = complex(np.nan, 0.0)
+        res = LoewnerResult(z_grid=z, swallowed_time=t, final_g=g)
+        header = ["re", "im", "swallowed_time", "final_g_re", "final_g_im"]
+
+        def row_loop(dest):
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(per_cell_loewner_rows(z, res)) + "\n")
+
+        peaks = []
+        for write, dest in (
+                (lambda d: write_csv(header, [z.real, z.imag, t, g.real,
+                                              g.imag], d), "blocks.csv"),
+                (row_loop, "rows.csv")):
+            tracemalloc.start()
+            try:
+                write(tmp_path / dest)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "blocks.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+        assert peaks[0] <= 1.1 * peaks[1]
 
 
 class TestLoewnerRows:
