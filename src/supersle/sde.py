@@ -17,6 +17,7 @@ import json
 import math
 import operator
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -399,6 +400,7 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
 
     swallowed = np.full(paths, steps + 1, dtype=int)
     active = None  # None while no path is swallowed
+    quiet = nullcontext  # np.errstate once a frozen row's body is 0
     for k in range(steps):
         if plan.lo < 0:
             size = np.abs(W[:, 0])
@@ -409,13 +411,15 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
                 if not active.any():
                     record(slice(k + 1, None))
                     break
-                if not size.all():
-                    raise NotInvertible("vanishing body in batched inverse")
-        D = _derivative(plan, W)
-        new = S if active is None else S.copy()
-        new += dt * D[:, 0]
-        for inc in (increments[:, k, :, None] * D[:, 1:]).transpose(1, 0, 2):
-            new += inc
+                if not size.all():  # its inf and nan steps are discarded
+                    quiet = partial(np.errstate, divide="ignore",
+                                    invalid="ignore")
+        with quiet():
+            D = _derivative(plan, W)
+            new = S if active is None else S.copy()
+            new += dt * D[:, 0]
+            for inc in (increments[:, k, :, None] * D[:, 1:]).swapaxes(0, 1):
+                new += inc
         if active is not None:
             S[...] = np.where(active[:, None], new, S)
         if history:
@@ -896,9 +900,10 @@ class LoewnerResult:
 def loewner_flow(kappa, z_grid, T: float, dt: float, seed) -> LoewnerResult:
     """Explicit Euler for dg = 2 dt / (g - sqrt(kappa) B), per grid point.
 
-    A point is declared swallowed when |g - sqrt(kappa) B| falls below
-    1e-3 sqrt(dt), or when the discrete update leaves the closed upper half
-    plane (an overshoot past the singular line, counted as swallowing).
+    A point is declared swallowed when |f| = |g - sqrt(kappa) B| falls below
+    eps = 1e-3 sqrt(dt), or when the discrete update leaves the closed upper
+    half plane (an overshoot past the singular line, counted as swallowing).
+    Only points with Im g < eps take that test: Im f = Im g, |f| >= |Im f|.
     """
     z_grid = np.asarray(z_grid, dtype=complex)
     steps = round(T / dt)
@@ -907,15 +912,18 @@ def loewner_flow(kappa, z_grid, T: float, dt: float, seed) -> LoewnerResult:
     eps = 1e-3 * math.sqrt(dt)
     shift = sk * B
     g = z_grid.astype(complex).ravel()  # a copy, stepped in place
+    f, near = np.empty_like(g), np.empty(g.shape, dtype=bool)
     swallowed_time = np.full(g.shape, np.nan)
     alive = np.arange(g.size)  # the points g still holds
     for k in range(steps):
-        f = g - shift[k]
-        hit = (np.abs(f) < eps) | (g.imag < 0.0)
-        if hit.any():
-            swallowed_time[alive[hit]] = k * dt
-            keep = ~hit
-            alive, g, f = alive[keep], g[keep], f[keep]
+        np.subtract(g, shift[k], out=f)
+        cand = np.less(g.imag, eps, out=near).nonzero()[0]
+        if cand.size:
+            hit = cand[(np.abs(f[cand]) < eps) | (g.imag[cand] < 0.0)]
+            if hit.size:
+                swallowed_time[alive[hit]] = k * dt
+                alive, g, f, near = (np.delete(a, hit)
+                                     for a in (alive, g, f, near))
         np.divide(dt * 2.0, f, out=f)
         g += f
     final = np.full(swallowed_time.shape, np.nan, dtype=complex)
@@ -1017,16 +1025,23 @@ def write_csv(header, columns, dest, config: dict | None = None,
               comment: str | None = None):
     """Equal-length float columns as rows under the config lines and
     ``comment``; a cell is its value's repr, and a NaN cell is empty.  Rows
-    are formatted and written 4096 at a time, to bound the strings held."""
+    are formatted and written 4096 at a time, to bound the strings held,
+    and a float64 block formats each distinct bit pattern once."""
     columns = [np.ravel(c) for c in columns]
     if len({c.size for c in columns}) > 1:
         raise ValueError("the CSV columns differ in length")
     lines = _config_lines(config) + ([comment] if comment else [])
     _write_text(dest, "\n".join([*lines, ",".join(header)]) + "\n", (
         "".join(f"{row}\n" for row in map(",".join, zip(*(
-            ["" if v != v else repr(v) for v in c[i:i + 4096].tolist()]
-            for c in columns))))
+            _cells(c[i:i + 4096]) for c in columns))))
         for i in range(0, columns[0].size if columns else 0, 4096)))
+
+
+def _cells(block: np.ndarray) -> list:
+    keys, index = (np.unique(block.view(np.int64), return_inverse=True)
+                   if block.dtype == np.float64 else (block, slice(None)))
+    cells = ["" if v != v else repr(v) for v in keys.view(block.dtype).tolist()]
+    return np.array(cells, object)[index].tolist()
 
 
 def write_superpath_csv(sp_path: SuperPath, dest, config: dict | None = None):

@@ -9,6 +9,7 @@ zeros included.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ def dense_eval_table(table, lo, hi, Z, TH):
     pows = {1: Z}
     for k in range(2, hi + 1):
         pows[k] = _bmul(pows[k - 1], Z)
-    if lo < 0:
-        pows[-1] = _binv(Z)
+    if lo < 0:  # a frozen body of 0 is inverted as 1, its step discarded
+        pows[-1] = _binv(np.where(Z[..., :1] == 0, 1.0, Z))
         for k in range(-2, lo - 1, -1):
             pows[k] = _bmul(pows[k + 1], pows[-1])
     out = []
@@ -224,11 +225,12 @@ def test_swallowed_paths_match_dense(width):
         assert np.all(swallowed[1:-1] == 41)
 
 
-def swallowing_batch(name, width, steps, dt, seed, every_row=False):
+def swallowing_batch(name, width, steps, dt, seed, every_row=False,
+                     target=1e-7):
     """A batch whose row 0 starts inside the swallowing ball and whose
     other rows (every fifth, or every one) get built increments that drive
-    the body into it at steps 1, 2, ..., so they are swallowed one step
-    later; the remaining rows are drawn at random."""
+    the body to about ``target`` at steps 1, 2, ..., so they are swallowed
+    one step later; the remaining rows are drawn at random."""
     system, init, dim = CASES[name]
     z0, th0, inc = batch(init, width, dim, steps, dt, seed)
     z0[0, 0] = 1e-8
@@ -239,9 +241,9 @@ def swallowing_batch(name, width, steps, dt, seed, every_row=False):
         body = z0[row, 0]  # the body's drift: 2 / z for virasoro, else 0
         for _ in range(stop):
             body = body + (dt * 2.0 / body if name == "virasoro" else 0.0)
-        # the body after the step, body + drift - sk dB1, is about 1e-7
+        # the body after the step, body + drift - sk dB1, is about target
         drift = dt * 2.0 / body if name == "virasoro" else 0.0
-        inc[row, stop, 0] = ((body + drift - 1e-7) / sk).real
+        inc[row, stop, 0] = ((body + drift - target) / sk).real
     return system, z0, th0, inc
 
 
@@ -255,6 +257,23 @@ def test_swallowing_batches_match_dense(name, width):
     assert swallowed[0] == 0
     driven = np.arange(1, width, 5)
     assert np.array_equal(swallowed[driven], 2 + (driven - 1) % 28)
+    assert (np.delete(swallowed, [0, *driven]) > 30).all()
+
+
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("name", ["32alt-soul", "virasoro"])
+def test_zero_body_rows_leave_the_batch_running(name, width):
+    # the driven rows land on a body of exactly 0.0: each is swallowed at
+    # the next step and frozen with that body, its discarded steps (which
+    # divide by it) warn nothing, and every other row keeps the dense bits
+    system, z0, th0, inc = swallowing_batch(name, width, 30, 1e-2, 11,
+                                            target=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z, _TH, swallowed = assert_same_as_dense(system, z0, th0, inc, 1e-2)
+    driven = np.arange(1, width, 5)
+    assert np.array_equal(swallowed[driven], 2 + (driven - 1) % 28)
+    assert (Z[driven, -1, 0] == 0.0).all()
     assert (np.delete(swallowed, [0, *driven]) > 30).all()
 
 

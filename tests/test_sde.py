@@ -1283,6 +1283,11 @@ class TestLoewnerSurvivorsOnly:
         (2.0, 3, (-2.0, 2.0, 4.0 / 3, 2.0), 1.0, 1e-3, 3),
         (0.0, 8, (-2.0, 2.0, 0.5, 2.0), 1.0, 1e-4, 1),
         (8.0, 64, (-2.0, 2.0, 4.0 / 64, 2.0), 1.0, 1e-3, 5),
+        (4.0, 64, (-2.0, 2.0, 4.0 / 64, 2.0), 1.0, 1e-3, 6),
+        (6.0, 64, (-2.0, 2.0, 4.0 / 64, 2.0), 1.0, 1e-3, 7),
+        # the middle row lies on the axis (a candidate of the Im g < eps
+        # pre-filter at every step), the rows below it go at t = 0
+        (2.0, 17, (-1.0, 1.0, -1.0, 1.0), 0.5, 1e-3, 2),
     ])
     def test_matches_full_grid_loop(self, kappa, grid, bounds, T, dt, seed):
         z = loewner_grid(grid, bounds)
@@ -1292,6 +1297,23 @@ class TestLoewnerSurvivorsOnly:
         assert res.final_g.tobytes() == want_g.tobytes()
         if grid == 64:
             assert res.swallowed.sum() >= 100
+        if grid == 17:
+            assert z[8].imag.tolist() == [0.0] * 17
+            assert (res.swallowed_time[:8] == 0.0).all()
+            axis = res.final_g[8][~res.swallowed[8]]
+            assert axis.size and (axis.imag == 0.0).all()
+
+    def test_points_within_eps_of_the_driver(self):
+        # B starts at 0, so at t = 0 |f| = |z|: the points at |z| < eps,
+        # all with 0 < Im z < eps, go at once; at Im z = eps, where
+        # |f| = eps, and above, the first step overshoots below the axis
+        eps = 1e-3 * math.sqrt(1e-2)
+        z = np.array([0.9j, 0.3j, 0.5 + 0.5j, -0.7 + 0.2j, 1j, 2j]) * eps
+        res = loewner_flow(2.0, z, 0.05, 1e-2, 1)
+        want_time, want_g = dense_loewner_flow(2.0, z, 0.05, 1e-2, 1)
+        assert res.swallowed_time.tolist() == [0.0] * 4 + [1e-2] * 2
+        assert res.swallowed_time.tobytes() == want_time.tobytes()
+        assert res.final_g.tobytes() == want_g.tobytes()
 
     def test_overshoot_swallowing_matches(self):
         # 2 dt / |g|^2 = 8 sends the first step below the real axis, far
@@ -1375,6 +1397,49 @@ class TestCsvWriter:
                   buf, config={"seed": 3, "kappa": "2"}, comment="# note")
         assert buf.getvalue() == ("# kappa=2\n# seed=3\n# note\na,b\n"
                                   "-0.0,\ninf,0.1\n1e-300,\n")
+
+    def test_non_float_column_keeps_its_cells(self):
+        buf = io.StringIO()
+        write_csv(["n", "x"], [np.array([3, -1, 3]),
+                               np.array([0.5, -0.0, 0.5])], buf)
+        assert buf.getvalue() == "n,x\n3,0.5\n-1,-0.0\n3,0.5\n"
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097])
+    def test_repeated_cells_match_row_loops(self, rows):
+        # each distinct value of a 4096-row block is formatted once, keyed
+        # on its bits: -0.0 beside 0.0, NaN of both signs and with another
+        # payload (all empty cells), +-inf and 5e-324, repeated across the
+        # block boundary
+        payload = np.array([0x7FF8_0000_0000_0123], np.int64).view(float)[0]
+        finite = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                           0.1, 1.5])
+        nans = np.concatenate([finite, [np.nan, -np.nan, payload, -payload]])
+        assert len(set(nans.view(np.int64).tolist())) == 12
+        rng = np.random.default_rng(rows)
+
+        def column(re, im=None):
+            col = re[rng.integers(re.size, size=rows)]
+            if im is None:
+                return col
+            out = col.astype(complex)
+            out.imag = im[rng.integers(im.size, size=rows)]
+            return out
+
+        z, t, g = column(finite, finite), column(nans), column(nans, nans)
+        res = LoewnerResult(z_grid=z, swallowed_time=t, final_g=g)
+        buf = io.StringIO()
+        write_csv(["re", "im", "swallowed_time", "final_g_re", "final_g_im"],
+                  [z.real, z.imag, t, g.real, g.imag], buf)
+        assert buf.getvalue().splitlines() == per_cell_loewner_rows(z, res)
+        buf = io.StringIO()
+        write_csv(["t", "re", "im"], [np.arange(rows) * 1e-4, z.real,
+                                      z.imag], buf)
+        assert buf.getvalue().splitlines() == row_loop_trace_rows(z, 1e-4)
+        out = SuperPath(times=np.arange(rows) * 1e-3,
+                        Z=np.stack([z, column(finite, finite)], axis=1),
+                        TH=np.stack([column(finite, finite), z], axis=1))
+        assert superpath_text(out, {"seed": 1}) == \
+            row_loop_superpath_csv(out, {"seed": 1})
 
     def test_unequal_columns_refused(self):
         with pytest.raises(ValueError):
