@@ -166,9 +166,7 @@ class GrassmannNumber:
 
     def body(self):
         """Coefficient of the empty monomial."""
-        if 0 in self.terms:
-            return self.terms[0]
-        return self.ring.coerce(0)
+        return self.coefficient(0)
 
     def soul(self) -> "GrassmannNumber":
         return GrassmannNumber(self.n, self.ring,
@@ -193,7 +191,7 @@ class GrassmannNumber:
         return not self.terms
 
     def coefficient(self, mask: int):
-        return self.terms.get(mask, self.ring.coerce(0))
+        return self.terms[mask] if mask in self.terms else self.ring.coerce(0)
 
     # -- inverse ----------------------------------------------------------
 
@@ -201,10 +199,7 @@ class GrassmannNumber:
         b = self.body()
         if b == 0:
             raise NotInvertible("element has vanishing body")
-        if self.ring.kind == "exact":
-            binv = sp.S.One / b
-        else:
-            binv = 1.0 / b
+        binv = 1 / b  # Integer(1) / b exactly, or 1.0 / b in floats
         # terminating Neumann series: (b + s)^-1 = b^-1 sum_k (-s/b)^k
         x = self.soul() * (-binv)
         out = GrassmannNumber.scalar(1, self.n, self.ring)
@@ -262,9 +257,9 @@ def make_generator(index: int, n: int | None = None,
 #
 # "3/2 + (0,1)*p0p1": coefficients are rationals, Gaussian rationals "(a,b)",
 # or (escape hatch) exact expressions in braces; monomials are concatenated
-# generator names.  Bit-exact round trip for both rings.  Brace content is
-# never evaluated as code: its Python syntax tree is walked, and only
-# numbers, "I", symbol names, sqrt(...), + - * / **, unary signs and
+# generator names.  One grammar and a bit-exact round trip for both rings.
+# Brace content is never evaluated as code: its syntax tree is walked, and
+# only numbers, "I", symbol names, sqrt(...), + - * / **, unary signs and
 # parentheses are accepted, with Python's precedence.  Integers stay exact,
 # decimals become sympy Floats of the written digits, and other names free
 # symbols.  The " + " and "*" separators are only looked for outside braces.
@@ -317,18 +312,25 @@ def _parse_brace(text: str):
             from None
 
 
+def _parse_real(tok: str, ring: CoefficientRing):
+    """A decimal or a quotient of two, read by ``sp.Rational`` (spaces
+    dropped); a float decimal keeps its bits: -0.0, subnormals, 1e400 inf."""
+    try:
+        q = sp.Rational(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok.strip()!r}") from None
+    tok = tok.replace(" ", "")
+    return q if ring.kind == "exact" else float(q if "/" in tok else tok)
+
+
 def _parse_coeff(tok: str, ring: CoefficientRing):
     tok = tok.strip()
     if tok.startswith("{") and tok.endswith("}"):
         return _parse_brace(tok[1:-1])
-    if tok.startswith("(") and tok.endswith(")"):
-        re_s, im_s = tok[1:-1].split(",")
-        if ring.kind == "float":
-            return complex(float(re_s), float(im_s))
-        return sp.Rational(re_s) + sp.I * sp.Rational(im_s)
-    if ring.kind == "float":
-        return complex(float(sp.Rational(tok)))
-    return sp.Rational(tok)
+    pair = tok.startswith("(") and tok.endswith(")")
+    re_, im = (_parse_real(t, ring)
+               for t in (tok[1:-1].split(",") if pair else (tok, "0")))
+    return complex(re_, im) if ring.kind == "float" else re_ + sp.I * im
 
 
 def format_grassmann(g: GrassmannNumber) -> str:
@@ -370,5 +372,6 @@ def parse_grassmann(s: str, n: int, ring: CoefficientRing = EXACT) -> GrassmannN
                 mask |= bit
         else:
             cs, mask = part, 0
-        terms[mask] = terms.get(mask, 0) + _parse_coeff(cs, ring)
+        c = _parse_coeff(cs, ring)  # the first keeps its bits, -0.0 too
+        terms[mask] = terms[mask] + c if mask in terms else c
     return GrassmannNumber(n, ring, terms)

@@ -2,14 +2,13 @@
 
 A float-coefficient Grassmann number on n generators is held as a complex
 vector over the 2^n monomial masks; a batch of them is an array of shape
-(..., 2^n).  Products of two batches go through one sparse Koszul pair
-table per n, the float counterpart of ``GrassmannNumber.__mul__``.  When
-the factors are known to vanish off some masks, the product can run through
-the table restricted to them, with the same non-zero bits; the restricted
-table's indices may also be remapped to the columns of a compact array.
-The closed forms and the Monte-Carlo mask closure in ``supersle.sde`` work
-in this format, and its Euler step program multiplies states through
-``_tmul`` on compact columns.
+(..., 2^n).  Every product of two batches is one ``_tmul`` through a sparse
+Koszul pair table, the float counterpart of ``GrassmannNumber.__mul__``:
+``_bmul`` runs it on the whole table of n, and factors known to vanish off
+some masks may run on the table restricted to them, with the same non-zero
+bits.  A restricted table's indices may also be remapped to the columns of
+a compact array, as in the Euler step program of ``supersle.sde``, where
+every product has one shape at every batch width.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, _merge_sig
 
 @cache
 def _pair_table(n: int):
-    """Koszul pair table of the Grassmann algebra on n generators.
-
-    Lists the 3^n triples (i, j, sign) with psi_i psi_j = sign psi_k, i a
-    submask of k and j = k ^ i, grouped by k; ``starts[k]`` is the offset of
-    the group of k.
+    """Koszul pair table of the Grassmann algebra on n generators, as the
+    (dst, left, right, signs, starts) of ``_tmul``: the 3^n triples
+    (i, j, sign) with psi_i psi_j = sign psi_k, i a submask of k and
+    j = k ^ i, grouped by k from ``starts[k]``, and dst every mask k.
     """
     left, right, signs, starts = [], [], [], []
     for k in range(1 << n):
@@ -41,15 +39,13 @@ def _pair_table(n: int):
             left.append(i)
             right.append(k ^ i)
             signs.append(_merge_sign(i, k ^ i))
-    return (np.array(left), np.array(right), np.array(signs, dtype=float),
-            np.array(starts))
+    return (np.arange(1 << n), np.array(left), np.array(right),
+            np.array(signs, dtype=float), np.array(starts))
 
 
 def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Batched Grassmann product of (..., 2^n) coefficient arrays."""
-    left, right, signs, starts = _pair_table(A.shape[-1].bit_length() - 1)
-    terms = A[..., left] * B[..., right] * signs
-    return np.add.reduceat(terms, starts, axis=-1)
+    return _tmul(_pair_table(A.shape[-1].bit_length() - 1), A, B)
 
 
 def _binv(A: np.ndarray) -> np.ndarray:
@@ -93,7 +89,7 @@ def _restrict(n: int, lsup, rsup):
     starts[g] then sums to the bits of ``_bmul``'s dst[g] entry (up to the
     sign of a zero); dst is the support of the product.
     """
-    left, right, signs, starts = _pair_table(n)
+    _, left, right, signs, starts = _pair_table(n)
     on = np.zeros((2, 1 << n), dtype=bool)
     on[0, lsup] = True
     on[1, rsup] = True
@@ -107,7 +103,7 @@ def _restrict(n: int, lsup, rsup):
 
 
 def _tmul(table, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
-    """A B through a restricted table, zero off its dst.
+    """A B through a pair table, whole or restricted, zero off its dst.
 
     A and B may differ in leading shape; the product takes the shape of the
     table's sums.  With ``out``, the sums are written there in dst order

@@ -237,10 +237,10 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
 
     z, with its body, and theta keep the masks where some path is non-zero,
     grown to the fixed point of one step.  A register is (mask -> column
-    map, columns, masks).  A constant c times z^k folds c's signs in once
-    and keeps the table of c's masks against every mask: numpy picks an FMA
-    or a plain loop by operand shape, so each product keeps its dense
-    shapes.  A shared product runs once; each value sums its terms in the
+    map, columns, masks).  Every product is one ``_tmul`` of work-array
+    columns, of one shape at every batch width: a constant's signs are in
+    its columns, and c z^k runs on the table of c's masks against every
+    mask.  A shared product runs once; each value sums its terms in the
     dense order from +0 (from -0, which adds nothing, for a constant).
     """
     n = z0.shape[-1].bit_length() - 1
@@ -274,20 +274,13 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
     def product(table, left, right):  # each factor a map, or a constant
         dst, lm, rm, signs, starts = table
         starts = None if starts.size == lm.size else starts
-        if left.dtype.kind == "c":  # c[left] * sign stays 1-d, as it was
-            times_c = partial(np.multiply, left[lm] * signs)
-            if starts is None:
-                return op(times_c, (right[rm],), dst)
-            terms = op(times_c, (right[rm],), (), lm.size)[1]
-            return op(partial(np.add.reduceat, indices=starts, axis=-1),
-                      (terms,), dst)
-        if right.dtype.kind == "c":  # theta times a constant: fold its signs
-            right = np.array([column(v) for v in right[rm] * signs], dtype=int)
-            signs = np.abs(signs)
-        else:
-            right = right[rm]
-        return op(partial(_tmul, (dst, left[lm], right, None if (
-            signs > 0).all() else signs, starts)), (slice(None),) * 2, dst)
+        factors = [left[lm], right[rm]]
+        for i, f in enumerate(factors):
+            if f.dtype.kind == "c":  # a constant: its columns take the signs
+                factors[i] = np.array([column(v) for v in f * signs], dtype=int)
+                signs = np.abs(signs)
+        return op(partial(_tmul, (dst, *factors, None if (signs > 0).all()
+                                  else signs, starts)), (slice(None),) * 2, dst)
 
     def terms(part, sums):  # sums[mask] += [coefficient or column]
         for k, c in part:

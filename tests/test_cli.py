@@ -290,6 +290,10 @@ def test_walk_file_generator_bound(capsys, tmp_path, monkeypatch, command,
     # a coefficient beyond the float range of the sde ring
     ("sde", {"n": 4, "b": 1, "beta": [{"-1": {"y": "1e400"}}]},
      ["--T", "0.01"], 2),
+    # a zero denominator, in both rings and in a real or complex pair
+    *((command, {"n": 4, "b": 1, "beta": [{"-1": {"y": y}}]},
+       ["--T", "0.01", "--paths", "2"], 2)
+      for command in ("sde", "martingale") for y in ("1/0", "(1/0,0)")),
 ])
 def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
                                  walk, argv, expected):

@@ -172,6 +172,22 @@ class TestSerialization:
         y = parse_grassmann(s, 3, FLOAT)
         assert x.terms == y.terms
 
+    def test_parse_float_gaussian_rational(self):
+        # one grammar for both rings: the float ring reads a Gaussian
+        # rational as the rounded exact value, and a literal keeps its bits
+        text = "(3/10,7/10)*p0 + 1/3 + (-0.0,5e-324)*p1"
+        x = parse_grassmann(text, 2, FLOAT)
+        exact = parse_grassmann(text, 2, EXACT)
+        assert x.terms == {m: complex(c) for m, c in exact.terms.items()} | {
+            0b10: complex(-0.0, 5e-324)}
+        assert x.terms[0b01] == complex(0.3, 0.7)
+        assert repr(x.terms[0b10]) == "(-0+5e-324j)"
+        y = GrassmannNumber(2, FLOAT, {0b01: complex(-0.0, -2.5e-320),
+                                       0b11: complex(1e-310, -0.0)})
+        back = parse_grassmann(format_grassmann(y), 2, FLOAT)
+        assert list(map(repr, back.terms.values())) == list(map(
+            repr, y.terms.values()))
+
     def test_round_trip_symbolic(self):
         t = sp.Symbol("t")
         x = GrassmannNumber(2, EXACT, {0b11: t * sp.sqrt(2)})

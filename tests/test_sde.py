@@ -379,10 +379,10 @@ class TestCoefficientTable:
         assert 0 < len(calls) <= count + 2
 
     def test_constant_coefficients_skip_pair_table(self, monkeypatch):
-        # per step: the Neumann power of the soul of z and two theta b(z)
-        # products multiply states, both factors read from the work array;
-        # every constant coefficient is folded into its own product, and no
-        # dense product runs
+        # per step: the Neumann power of the soul of z, two theta b(z)
+        # products and the constant c times z^-1, both factors read from the
+        # work array (a constant's from its columns, its signs folded in),
+        # and no dense product runs
         calls = []
         tmul = sde_module._tmul
 
@@ -420,19 +420,24 @@ class TestCoefficientTable:
         fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
         z0, th0 = (np.tile(v, (3, 1)) for v in _point_vectors(init_32()))
         plan, W = _step_plan(fns, z0, th0)
+        nz = plan.zsup.size
+        written = set(range(nz + plan.tsup.size)).union(
+            *(range(o.start, o.stop) for _, _, o in plan.ops))
+
+        def times_c(f):  # a product whose left factor reads constant columns
+            return isinstance(f, partial) and f.func is _tmul \
+                and not written & set(f.args[0][1].tolist())
+
         runs = []
         ops = [(partial(lambda f, *a, out: runs.append(1) or f(*a, out=out),
                         f), args, out)
-               if isinstance(f, partial) and f.func is np.multiply
-               else (f, args, out) for f, args, out in plan.ops]
-        (out,) = [out for f, args, out in plan.ops
-                  if isinstance(f, partial) and f.func is np.multiply]
+               if times_c(f) else (f, args, out) for f, args, out in plan.ops]
+        (out,) = [out for f, args, out in plan.ops if times_c(f)]
         counted = plan._replace(ops=ops)
         for _ in range(5):
             D = _derivative(counted, W)
         assert len(runs) == 5
         columns = set(range(out.start, out.stop))
-        nz = plan.zsup.size
         (theta_b,) = [f.args[0] for f, args, _ in plan.ops
                       if isinstance(f, partial) and f.func is _tmul
                       and set(f.args[0][2].tolist()) <= columns]
