@@ -314,7 +314,11 @@ def _parse_brace(text: str):
 
 def _parse_real(tok: str, ring: CoefficientRing):
     """A decimal or a quotient of two, read by ``sp.Rational`` (spaces
-    dropped); a float decimal keeps its bits: -0.0, subnormals, 1e400 inf."""
+    dropped); a float decimal keeps its bits: -0.0, subnormals, 1e400 inf.
+    A decimal exponent beyond +-9999 is refused before it is read, since
+    ``sp.Rational`` builds 10^exp as an exact integer."""
+    if re.search(r"[eE][+-]?0*[1-9]\d{4}", re.sub("[ _]", "", tok)):
+        raise ValueError(f"decimal exponent beyond +-9999 in {tok.strip()!r}")
     try:
         q = sp.Rational(tok)
     except ZeroDivisionError:

@@ -238,10 +238,9 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
     z, with its body, and theta keep the masks where some path is non-zero,
     grown to the fixed point of one step.  A register is (mask -> column
     map, columns, masks).  Every product is one ``_tmul`` of work-array
-    columns, of one shape at every batch width: a constant's signs are in
-    its columns, and c z^k runs on the table of c's masks against every
-    mask.  A shared product runs once; each value sums its terms in the
-    dense order from +0 (from -0, which adds nothing, for a constant).
+    columns, of one shape at every batch width, on its factors' live masks:
+    a constant's signs are in its columns.  A shared product runs once;
+    every value is +0 plus its terms in the dense order.
     """
     n = z0.shape[-1].bit_length() - 1
     coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
@@ -286,18 +285,17 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
         for k, c in part:
             key = (k, c.tobytes())
             if k and key not in products:
-                products[key] = product(_restrict(n, np.flatnonzero(c), range(
-                    1 << n)), c, regs[k][0])[0]
-            for m in (_restrict(n, np.flatnonzero(c), regs[k][2])[0] if k
-                      else np.flatnonzero(c)).tolist():
-                sums.setdefault(m, []).append((products[key] if k else c)[m])
+                products[key] = product(_restrict(n, np.flatnonzero(c),
+                                                  regs[k][2]), c, regs[k][0])
+            lut, _, masks = products[key] if k else (c, (), np.flatnonzero(c))
+            for m in masks.tolist():
+                sums.setdefault(m, []).append(lut[m])
         return sums
 
-    def summation(lists, masks, start=0.0):  # start + the sum of each list
-        cols = [np.array([column(t[j]) if t[j:] else neg if j else ncols
-                          for t in lists], dtype=int)
-                for j in range(max([1, *map(len, lists)]))]
-        reg = op(partial(np.add, start), cols[:1], masks, len(lists))
+    def summation(lists, masks):  # +0 + the sum of each list
+        cols = [np.array([column(t[j]) if t[j:] else ncols for t in lists],
+                         dtype=int) for j in range(max([1, *map(len, lists)]))]
+        reg = op(partial(np.add, 0.0), cols[:1], masks, len(lists))
         ops.extend((np.add, (reg[1], c), reg[1]) for c in cols[1:])
         return reg
 
@@ -308,7 +306,6 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
         used, consts, ops, products = [0], [], [], {}
         regs = {1: alloc(zsup), "t": alloc(tsup)}
         column(0j)  # the +0 column, number ncols
-        neg = column(complex(-0.0, -0.0))
         if lo < 0:  # z^-1 = 1/body + sum_m (-soul)^m / body^(m+1)
             body = bpow = slice(0, 1)
             sums = {0: [op(partial(np.divide, 1.0), (body,), (), 1)[1].start]}
@@ -325,7 +322,7 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
             s = 1 if k > 0 else -1
             regs[k] = product(_restrict(n, regs[k - s][2], regs[s][2]),
                               regs[k - s][0], regs[s][0])
-        reach, value, start = [zsup, tsup], {}, {}
+        reach, value = [zsup, tsup], {}
         for f, (a, b) in enumerate(table):
             sums, vb = terms(a, {}), terms(b, {})
             if vb:  # theta b(z)
@@ -333,24 +330,19 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
                     right = summation(list(vb.values()), list(vb))[0]
                 else:  # one term: its product, or the constant itself
                     k, c = b[0]
-                    right = products[k, c.tobytes()] if k else c
+                    right = products[k, c.tobytes()][0] if k else c
                 thb = _restrict(n, tsup, list(vb))
                 tlut = product(thb, regs["t"][0], right)[0]
                 for m in thb[0].tolist():
                     sums.setdefault(m, []).append(tlut[m])
             reach[f % 2] = _union(reach[f % 2], sums)
             pos = regs["t" if f % 2 else 1][0] + f // 2 * ncols
-            if not vb and not any(k for k, _ in a):  # a constant function
-                c = a[0][1] if a else np.zeros(1 << n, dtype=complex)
-                sums = {m: [c[m]] for m in (tsup if f % 2 else zsup).tolist()}
-                start.update((pos[m], complex(-0.0, -0.0)) for m in sums)
             value.update((pos[m], v) for m, v in sums.items())
         if reach[0].size == zsup.size and reach[1].size == tsup.size:
             break
         zsup, tsup = reach
     rows = range((len(table) + 1) // 2 * ncols)
-    out = summation([value.get(p, []) for p in rows], (),
-                    np.array([start.get(p, 0j) for p in rows]))[1]
+    out = summation([value.get(p, []) for p in rows], ())[1]
     # column-major: a register is one block, a column contiguous over paths,
     # and no product's factors overlap its ``out`` (numpy would then take
     # its plain, non-FMA loop)

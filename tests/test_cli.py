@@ -294,6 +294,11 @@ def test_walk_file_generator_bound(capsys, tmp_path, monkeypatch, command,
     *((command, {"n": 4, "b": 1, "beta": [{"-1": {"y": y}}]},
        ["--T", "0.01", "--paths", "2"], 2)
       for command in ("sde", "martingale") for y in ("1/0", "(1/0,0)")),
+    # a decimal exponent beyond +-9999, refused before 10^exp is built
+    *((command, {"n": 4, "b": 1, "beta": [{"-1": {"y": y}}]},
+       ["--T", "0.01", "--paths", "2"], 2)
+      for command in ("sde", "martingale")
+      for y in ("1e99999999", "(1,1e-99999999)")),
 ])
 def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
                                  walk, argv, expected):

@@ -10,6 +10,7 @@ zeros included.
 
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from supersle.cli import _initial_point
 from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
-from supersle.kernel import _binv, _bmul, _gvec, _restrict
+from supersle.kernel import _binv, _bmul, _gvec, _restrict, _tmul
 from supersle.sde import (
     BrownianPath,
     _em_core,
@@ -206,6 +207,36 @@ def test_spec_32_reachable_masks():
     system, init, _dim = CASES["virasoro"]
     plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
     assert (plan.zsup.tolist(), plan.tsup.tolist()) == ([0], [])
+
+
+@pytest.mark.parametrize("name, width, triples", [
+    ("32", 44, 5), ("32alt", 31, 3), ("virasoro", 12, 3)])
+def test_plan_shape(name, width, triples):
+    # every product runs on its factors' live masks, a constant's too, and
+    # every value is +0 plus its terms: one +0 column and no -0 column
+    system, init, _dim = CASES[name]
+    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+    plan, W = _step_plan(fns, *(v[None, :] for v in _point_vectors(init)))
+    tables = [f.args[0] for f, _args, _out in plan.ops
+              if isinstance(f, partial) and f.func is _tmul]
+    assert W.shape[1] == width
+    assert sum(table[1].size for table in tables) == triples
+
+
+@pytest.mark.parametrize("increment", [-0.0, 0.0])
+@pytest.mark.parametrize("slot", range(4))
+def test_constant_function_signed_zero(slot, increment):
+    # the dense step computes +0 + c for a constant function c: a -0 real
+    # part of c = (-0+1j) p0 is not kept, whatever the signed zeros of the
+    # state and of the increments on p0
+    fns = [LaurentSuperfunction() for _ in range(4)]
+    fns[slot] = LaurentSuperfunction({0: GrassmannNumber(
+        2, FLOAT, {0b01: complex(-0.0, 1.0)})})
+    system = SdeSystem(drift=tuple(fns[:2]), diffusion=(tuple(fns[2:]),))
+    z0 = np.array([[2.0, -0.0, 0.0, 0.0]], dtype=complex)
+    th0 = np.array([[0.0, -0.0, 1.0, 0.0]], dtype=complex)
+    assert_same_as_dense(system, z0, th0, np.full((1, 5, 1), increment),
+                         1e-2)
 
 
 @pytest.mark.parametrize("width", [1, 50])
