@@ -20,10 +20,11 @@ Exit codes (a non-zero exit prints exactly one line on stderr):
    too large to allocate (MemoryError, e.g. 2^62 trace raster samples).
 --kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5); --cutoff is
 at most MAX_CUTOFF = 10, a basis of 797 PBW words (more exits 2), and a
-file: walk spec has at most MAX_SPEC_GENERATORS = 12 generators.  The
-seed falls back to SUPER_SLE_SEED, then 0.  All outputs embed the resolved
-configuration as '# key=value' comment lines (CSV/PGM) or a "config"
-object (JSON), so identical configurations produce byte-identical files.
+file: walk spec has at most MAX_SPEC_GENERATORS = 12 generators and, for
+sde, keys up to |key| <= MAX_SDE_KEY = 64.  The seed falls back to
+SUPER_SLE_SEED, then 0.  All outputs embed the resolved configuration as
+'# key=value' comment lines (CSV/PGM) or a "config" object (JSON), so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -62,7 +63,12 @@ from supersle import sde as sde_mod
 # martingale --spec 32 at cutoff 10 takes 1.9 s in-process under tracemalloc
 # (10 MiB peak); the exact projector and the report grow with the PBW basis
 MAX_CUTOFF = 10
-MAX_SPEC_GENERATORS = 12  # the float kernel's pair table has 3^n triples
+# sde path arrays are 2^n wide: 1000 steps of a two-generator walk declared
+# with 12 peak at 129 MiB in-process (tracemalloc), 1.3 MiB declared with 4
+MAX_SPEC_GENERATORS = 12
+# sde builds one register per z power: 1000 steps take 0.11 s in-process at
+# key 3, 1.1 s at key 64 and 5.4 s at key 300 (one generator, 2 vCPUs)
+MAX_SDE_KEY = 64
 
 
 class UsageError(ValueError):
@@ -221,6 +227,10 @@ def cmd_sde(args) -> int:
     if not math.isfinite(args.z0):
         raise UsageError("--z0 must be finite")
     spec = _load_spec(args.spec, kappa, FLOAT)
+    keys = [k for table in (spec.alpha0, *spec.beta) for k in table]
+    if max(map(abs, keys), default=0) > MAX_SDE_KEY:
+        raise UsageError(f"walk spec key {max(keys, key=abs)} is beyond the "
+                         f"sde bound |key| <= {MAX_SDE_KEY}")
     init = _initial_point(spec, complex(args.z0))
     config = _config_dict(args, {"seed": seed, "steps": steps,
                                  "z0": args.z0})

@@ -3,12 +3,12 @@
 A float-coefficient Grassmann number on n generators is held as a complex
 vector over the 2^n monomial masks; a batch of them is an array of shape
 (..., 2^n).  Every product of two batches is one ``_tmul`` through a sparse
-Koszul pair table, the float counterpart of ``GrassmannNumber.__mul__``:
-``_bmul`` runs it on the whole table of n, and factors known to vanish off
-some masks may run on the table restricted to them, with the same non-zero
-bits.  A restricted table's indices may also be remapped to the columns of
-a compact array, as in the Euler step program of ``supersle.sde``, where
-every product has one shape at every batch width.
+Koszul pair table, the float counterpart of ``GrassmannNumber.__mul__``.  A
+table is built from the masks where its factors can be non-zero, never from
+all 3^n triples of n, and cached; ``_mul`` reads those masks off the
+factors.  A table's indices may also be remapped to the columns of a compact
+array, as in the Euler step program of ``supersle.sde``, where every product
+has one shape at every batch width.
 """
 
 from __future__ import annotations
@@ -17,54 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, _merge_sign
-
-
-@cache
-def _pair_table(n: int):
-    """Koszul pair table of the Grassmann algebra on n generators, as the
-    (dst, left, right, signs, starts) of ``_tmul``: the 3^n triples
-    (i, j, sign) with psi_i psi_j = sign psi_k, i a submask of k and
-    j = k ^ i, grouped by k from ``starts[k]``, and dst every mask k.
-    """
-    left, right, signs, starts = [], [], [], []
-    for k in range(1 << n):
-        starts.append(len(left))
-        subs = [k]
-        i = k
-        while i:
-            i = (i - 1) & k
-            subs.append(i)
-        for i in reversed(subs):
-            left.append(i)
-            right.append(k ^ i)
-            signs.append(_merge_sign(i, k ^ i))
-    return (np.arange(1 << n), np.array(left), np.array(right),
-            np.array(signs, dtype=float), np.array(starts))
-
-
-def _bmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Batched Grassmann product of (..., 2^n) coefficient arrays."""
-    return _tmul(_pair_table(A.shape[-1].bit_length() - 1), A, B)
-
-
-def _binv(A: np.ndarray) -> np.ndarray:
-    """Batched inverse via the Neumann series over the nilpotent soul."""
-    body = A[..., 0]
-    if (body == 0.0).any():
-        raise NotInvertible("vanishing body in batched inverse")
-    minus_soul = -A
-    minus_soul[..., 0] = 0.0
-    out = np.zeros(A.shape, dtype=A.dtype)
-    out[..., 0] = 1.0 / body
-    power, bpow = minus_soul, body
-    for _ in range(A.shape[-1].bit_length() - 1):  # soul^m = 0 for m > n
-        if not power.any():
-            break
-        bpow = bpow * body
-        out += power / bpow[..., None]
-        power = _bmul(power, minus_soul)
-    return out
+from supersle.grassmann import FLOAT, GrassmannNumber, _merge_sign
 
 
 def _gvec(g: GrassmannNumber, n: int) -> np.ndarray:
@@ -80,30 +33,62 @@ def _gnum(vec: np.ndarray, n: int) -> GrassmannNumber:
 
 
 def _restrict(n: int, lsup, rsup):
-    """The pair table restricted to left masks lsup and right masks rsup.
+    """The pair table of n generators restricted to left masks lsup and
+    right masks rsup, from the cache of ``_live_table``.
 
-    Returns (dst, left, right, sign, starts): in table order, the triples
-    (i, j, sign) with i in lsup and j in rsup, and the whole group of a k
-    that meets three of them, as numpy sums that group pairwise.  For
-    batches of equal shape that vanish off lsup and rsup, the run from
-    starts[g] then sums to the bits of ``_bmul``'s dst[g] entry (up to the
-    sign of a zero); dst is the support of the product.
+    Returns (dst, left, right, sign, starts): the triples (i, j, sign) with
+    psi_i psi_j = sign psi_k, k = i | j, i in lsup and j in rsup, grouped by
+    k in ascending (k, i) order; a k that meets three of them takes its
+    whole group of submasks, as numpy sums a group pairwise.  For batches
+    that vanish off lsup and rsup, the run from starts[g] then sums to the
+    bits of the product over all 3^n triples at dst[g] (up to the sign of a
+    zero); dst is the support of the product.  The arrays are read-only.
     """
-    _, left, right, signs, starts = _pair_table(n)
-    on = np.zeros((2, 1 << n), dtype=bool)
-    on[0, lsup] = True
-    on[1, rsup] = True
-    live = on[0, left] & on[1, right]
-    crowded = np.add.reduceat(live, starts, dtype=int) > 2
-    k = left | right
-    keep = np.flatnonzero(live | crowded[k])
-    dst = k[keep]
-    starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    return dst[starts], left[keep], right[keep], signs[keep], starts
+    lkey, rkey = (tuple(sorted(set(np.asarray(s, dtype=int).tolist())))
+                  for s in (lsup, rsup))
+    return _live_table(n, lkey, rkey)
+
+
+@cache
+def _live_table(n: int, lsup: tuple, rsup: tuple):
+    groups = {}
+    for i in lsup:
+        for j in rsup:
+            if not i & j:
+                groups.setdefault(i | j, []).append(i)
+    dst = sorted(groups)
+    left, right, signs, starts = [], [], [], []
+    for k in dst:
+        subs = groups[k]
+        if len(subs) > 2:  # every submask of k, ascending
+            subs, i = [0], k
+            while i:
+                subs.append(i)
+                i = (i - 1) & k
+            subs.sort()
+        starts.append(len(left))
+        for i in subs:
+            left.append(i)
+            right.append(k ^ i)
+            signs.append(_merge_sign(i, k ^ i))
+    table = (np.array(dst, dtype=int), np.array(left, dtype=int),
+             np.array(right, dtype=int), np.array(signs, dtype=float),
+             np.array(starts, dtype=int))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B on the table of the masks where A and B are non-zero in some row."""
+    keys = [tuple(np.flatnonzero(X.reshape(-1, X.shape[-1]).any(axis=0)
+                                 if X.ndim > 1 else X).tolist())
+            for X in (A, B)]  # sorted and distinct, as _restrict's keys
+    return _tmul(_live_table(A.shape[-1].bit_length() - 1, *keys), A, B)
 
 
 def _tmul(table, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
-    """A B through a pair table, whole or restricted, zero off its dst.
+    """A B through a pair table, zero off its dst.
 
     A and B may differ in leading shape; the product takes the shape of the
     table's sums.  With ``out``, the sums are written there in dst order

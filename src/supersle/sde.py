@@ -33,7 +33,7 @@ from supersle.grassmann import (
     _merge_sign,
     make_generator,
 )
-from supersle.kernel import _binv, _bmul, _gnum, _gvec, _restrict, _tmul
+from supersle.kernel import _gnum, _gvec, _mul, _restrict, _tmul
 from supersle.ns_algebra import (
     CutoffOverflow,
     AlgebraElement,
@@ -267,7 +267,8 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
 
     def op(f, args, masks=(), count=None):  # the register f computes
         reg = alloc(masks, count)
-        ops.append((f, args, reg[1]))
+        if reg[1].stop > reg[1].start:  # an empty one is never computed
+            ops.append((f, args, reg[1]))
         return reg
 
     def product(table, left, right):  # each factor a map, or a constant
@@ -315,8 +316,8 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
                 q = op(np.divide, (power[1], bpow), power[2])
                 for m in power[2].tolist():
                     sums.setdefault(m, []).append(q[0][m])
-                t = _restrict(n, power[2], zsup[1:])
-                power = product(t, power[0], ms[0]) if t[0].size else alloc(t[0])
+                power = product(_restrict(n, power[2], zsup[1:]), power[0],
+                                ms[0])
             regs[-1] = summation(list(sums.values()), list(sums))
         for k in (*range(2, hi + 1), *range(-2, lo - 1, -1)):
             s = 1 if k > 0 else -1
@@ -449,15 +450,18 @@ def _spec32_units(kappa: float, n: int):
     sk = math.sqrt(kappa)
     y, eta = spec_32(kappa, FLOAT).beta[0][-1]
     y, eta = _gvec(y, n) / sk, _gvec(eta, n) / sk
-    return sk, y, eta, _bmul(y, eta)
+    return sk, y, eta, _mul(y, eta)
 
 
 def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float, t, B):
     """Closed form of the one-Brownian evolution at times t and driving
     values B, each a scalar or a (steps+1, 1) column; returns (Z, TH)."""
+    if abs(z0[0]) == 0.0:
+        raise NotInvertible("initial z must have non-zero body")
     sk, y, eta, yeta = _spec32_units(kappa, z0.shape[-1].bit_length() - 1)
-    yeta_zinv = _bmul(yeta, _binv(z0[None, :])[0])
-    Z = z0 + t * _bmul(th0, yeta_zinv) - B * (sk * (y + _bmul(th0, eta)))
+    powers, P = _inverse_body_powers(z0, z0[0])
+    yeta_zinv = _mul(yeta, sum(power * Pk for power, Pk in zip(powers, P)))
+    Z = z0 + t * _mul(th0, yeta_zinv) - B * (sk * (y + _mul(th0, eta)))
     TH = th0 + t * yeta_zinv - B * (sk * eta)
     return Z, TH
 
@@ -466,37 +470,35 @@ def closed_form_32(init: SuperPoint, path: BrownianPath, kappa) -> SuperPath:
     """Exact solution of the one-Brownian graded evolution along the path."""
     _check_brownian_dim(1, path.dim)
     z0, th0 = _point_vectors(init, 4)
-    if abs(z0[0]) == 0.0:
-        raise NotInvertible("initial z must have non-zero body")
     Z, TH = _cf32_core(z0, th0, float(kappa), path.times[:, None],
                        path.values[0][:, None])
     return SuperPath(times=path.times, Z=Z, TH=TH)
 
 
-def _inverse_body_powers(z0: np.ndarray, kappa: float, B1: np.ndarray,
-                         B2: np.ndarray):
-    """Series terms of the inverse of z0 - sqrt(kappa) B+ along the path.
+def _inverse_body_powers(z0: np.ndarray, body):
+    """Series terms of the inverse of body + s, s the soul of z0.
 
-    Its soul is the constant soul s of z0, so the inverse is
-    sum_k (-s)^k P_k with P_k = (body - sqrt(kappa) B+)^-(k+1).  Returns the
-    non-zero (-s)^k and the matching P_k, shape (terms,) + B1.shape.
+    The inverse is sum_k (-s)^k P_k with P_k = body^-(k+1), for one body or
+    an array of them, one per driving value.  Returns the non-zero (-s)^k
+    and the matching P_k, shape (terms,) + body.shape.
     """
+    minus_soul = -z0
+    minus_soul[0] = 0.0
+    powers, power = [], np.zeros_like(z0)
+    power[0] = 1.0
+    while power.any():  # the soul is nilpotent
+        powers.append(power)
+        power = _mul(power, minus_soul) if len(powers) > 1 else minus_soul
+    return powers, np.array([body ** -k for k in range(1, len(powers) + 1)])
+
+
+def _cf32alt_series(z0: np.ndarray, kappa: float, B1, B2):
+    """The series of 1/(z0 - sqrt(kappa) B+) at the driving values."""
     body = z0[0] - math.sqrt(kappa) * (B1 + 1j * B2)
     if np.min(np.abs(body)) < _SWALLOW_EPS:
         raise DenominatorVanishes(
             "complex part of z - sqrt(kappa) B+ fell below epsilon")
-    minus_soul = -z0
-    minus_soul[0] = 0.0
-    powers, P = [], []
-    power = np.zeros_like(z0)
-    power[0] = 1.0
-    for k in range(z0.shape[-1].bit_length()):
-        powers.append(power)
-        P.append(body ** (-(k + 1)))
-        power = _bmul(power, minus_soul) if k else minus_soul
-        if not power.any():
-            break
-    return powers, np.array(P)
+    return _inverse_body_powers(z0, body)
 
 
 def _cf32alt_state(z0: np.ndarray, th0: np.ndarray, kappa: float,
@@ -515,8 +517,8 @@ def _cf32alt_state(z0: np.ndarray, th0: np.ndarray, kappa: float,
     eta[1] = 1.0
     Z = np.broadcast_to(z0, shift.shape).copy()
     Z[..., 0] -= sk * (B1 + 1j * B2)
-    Z = Z + _bmul(_bmul(th0, eta), shift)
-    TH = th0 + _bmul(eta, shift)
+    Z = Z + _mul(_mul(th0, eta), shift)
+    TH = th0 + _mul(eta, shift)
     return Z, TH
 
 
@@ -526,7 +528,7 @@ def closed_form_32alt(init: SuperPoint, path: BrownianPath,
     _check_brownian_dim(2, path.dim)
     z0, th0 = _point_vectors(init, 2)
     B1, B2 = path.values
-    powers, P = _inverse_body_powers(z0, float(kappa), B1, B2)
+    powers, P = _cf32alt_series(z0, float(kappa), B1, B2)
     # left-endpoint Riemann sums on the path's own grid
     J = np.zeros_like(P)
     np.cumsum(path.dt * P[:, :-1], axis=1, out=J[:, 1:])
@@ -588,17 +590,10 @@ def conservation_check_32(init: SuperPoint, path: BrownianPath, kappa) -> dict:
     sk, y, eta, yeta = _spec32_units(float(kappa), sol.n)
     z0, th0 = _point_vectors(init, 4)
     B = path.values[0]
-
-    def product(A, C):  # A C on the masks where A and C live
-        return _tmul(_restrict(sol.n, np.flatnonzero(A.any(axis=0)),
-                               np.flatnonzero(C.any(axis=0))), A, C)
-
-    w = sol.Z + (y[None, :] + product(sol.TH, eta[None, :])) \
-        * (sk * B[:, None])
-    mu = sol.TH + sk * B[:, None] * eta[None, :]
-    conserved = _bmul(th0[None, :], z0[None, :]) \
-        + sol.times[:, None] * yeta[None, :]
-    residual = product(mu, w) - conserved
+    w = sol.Z + (y + _mul(sol.TH, eta)) * (sk * B[:, None])
+    mu = sol.TH + sk * B[:, None] * eta
+    conserved = _mul(th0, z0) + sol.times[:, None] * yeta
+    residual = _mul(mu, w) - conserved
     return {
         "max_conservation_error": float(np.max(np.abs(residual))),
         "max_body_drift": float(np.max(np.abs(w[:, 0] - z0[0]))),
@@ -687,7 +682,7 @@ def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
 
     def cf(z0, th0, bp):
         B1, B2 = bp.values
-        powers, P = _inverse_body_powers(z0, float(kappa), B1, B2)
+        powers, P = _cf32alt_series(z0, float(kappa), B1, B2)
         J = bp.dt * np.sum(P[:, :-1], axis=1)
         return _cf32alt_state(z0, th0, float(kappa), B1[-1], B2[-1], powers,
                               J)

@@ -235,7 +235,7 @@ def test_kappa_beyond_float_range(capsys, tmp_path, argv, expected):
         assert err == "error: kappa is beyond the float range\n"
 
 
-class PairTableBuilt(Exception):
+class TableBuilt(Exception):
     pass
 
 
@@ -247,25 +247,45 @@ class PairTableBuilt(Exception):
 def test_walk_file_generator_bound(capsys, tmp_path, monkeypatch, command,
                                    argv, n):
     """A file spec above MAX_SPEC_GENERATORS = 12 exits 2 before any
-    3^n pair table is built; one at the bound goes on to build it."""
+    pair table is built; one at the bound goes on to build one."""
     from supersle import kernel
 
-    def fail(n):
-        raise PairTableBuilt(n)
+    def fail(n, lsup, rsup):
+        raise TableBuilt(n)
 
-    monkeypatch.setattr(kernel, "_pair_table", fail)
+    monkeypatch.setattr(kernel, "_live_table", fail)
     spec = tmp_path / "walk.json"
     spec.write_text(json.dumps({"n": n, "b": 1, "beta": [
         {"-1": {"y": "1", "eta": f"1*p{n - 1}"}}]}))
     argv = [command, "--spec", f"file:{spec}", "--kappa", "1", *argv]
     if n <= 12:
-        with pytest.raises(PairTableBuilt):
+        with pytest.raises(TableBuilt):
             main(argv)
         return
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == (f"error: cannot load walk spec from '{spec}': {n} "
                    f"generators, at most 12 allowed\n")
+
+
+@pytest.mark.parametrize("key", [64, -64, 65, -1000000])
+def test_sde_walk_key_bound(capsys, tmp_path, key):
+    """sde takes walk-file keys up to |key| <= MAX_SDE_KEY = 64 and refuses
+    a larger one with a line that names it; martingale takes any key."""
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({"n": 1, "b": 1, "beta": [
+        {str(key): {"y": "1"}}]}))
+    code, out, err = run(capsys, "sde", "--spec", f"file:{spec}", "--kappa",
+                         "1", "--z0", "0.5", "--T", "0.01")
+    if abs(key) <= 64:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err == (f"error: walk spec key {key} is beyond the sde bound "
+                       f"|key| <= 64\n")
+    code, _out, err = run(capsys, "martingale", "--spec", f"file:{spec}",
+                          "--kappa", "1", "--T", "0.01", "--paths", "2")
+    assert code in (0, 1) and "key" not in err
 
 
 @pytest.mark.parametrize("command, walk, argv, expected", [
@@ -299,6 +319,11 @@ def test_walk_file_generator_bound(capsys, tmp_path, monkeypatch, command,
        ["--T", "0.01", "--paths", "2"], 2)
       for command in ("sde", "martingale")
       for y in ("1e99999999", "(1,1e-99999999)")),
+    # an sde z power key beyond |key| <= 64 (cli.MAX_SDE_KEY), refused
+    # before the step program builds one register per power
+    *(("sde", {"n": 1, "b": 1, "alpha0": {key: {"y": "1"}},
+               "beta": [{"-1": {"y": "1"}}]}, ["--T", "0.01"], 2)
+      for key in ("65", "-3000", "1000000")),
 ])
 def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
                                  walk, argv, expected):

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dense_kernel import _binv, _bmul
 from supersle.cli import _initial_point
 from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
-from supersle.kernel import _binv, _bmul, _gvec, _restrict, _tmul
+from supersle.kernel import _gvec, _restrict, _tmul
 from supersle.sde import (
     BrownianPath,
     _em_core,
@@ -221,6 +222,17 @@ def test_plan_shape(name, width, triples):
               if isinstance(f, partial) and f.func is _tmul]
     assert W.shape[1] == width
     assert sum(table[1].size for table in tables) == triples
+
+
+@pytest.mark.parametrize("name, count", [
+    ("32", 13), ("32alt", 9), ("virasoro", 6)])
+def test_plan_op_count(name, count):
+    # no op writes an empty register: virasoro's z has no soul to negate and
+    # its theta no mask to multiply b(z) by
+    system, init, _dim = CASES[name]
+    plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
+    assert len(plan.ops) == count
+    assert all(out.stop > out.start for _f, _args, out in plan.ops)
 
 
 @pytest.mark.parametrize("increment", [-0.0, 0.0])

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -9,11 +11,12 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from dense_kernel import _binv, _bmul, sliced_restrict
 from supersle import kernel
 from supersle import sde as sde_module
 from supersle.cli import MAX_CUTOFF, _initial_point, main
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
-from supersle.kernel import _binv, _bmul, _gvec, _tmul
+from supersle.kernel import _gvec, _tmul
 from supersle.ns_algebra import (
     CutoffOverflow,
     G,
@@ -304,6 +307,68 @@ class TestGrassmannKernel:
                 1.0, np.max(np.abs(want)))
 
 
+def brute_force_table(lsup, rsup):
+    """The restricted pair table as sorted (k, i, j, sign) rows: the live
+    pairs, or every split of a k that three of them meet, each sign counted
+    from the generator pairs that the product puts out of order."""
+    live = {}
+    for i in lsup:
+        for j in rsup:
+            if not i & j:
+                live.setdefault(i | j, set()).add(i)
+    rows = []
+    for k, lefts in live.items():
+        if len(lefts) > 2:
+            bits = [1 << b for b in range(k.bit_length()) if k >> b & 1]
+            lefts = {sum(c) for r in range(len(bits) + 1)
+                     for c in itertools.combinations(bits, r)}
+        for i in lefts:
+            j = k ^ i
+            swaps = sum(1 for a in range(i.bit_length()) if i >> a & 1
+                        for b in range(a) if j >> b & 1)
+            rows.append((k, i, j, (-1.0) ** swaps))
+    return sorted(rows)
+
+
+class TestLiveMaskTables:
+    def test_restrict_matches_sliced_whole_table(self):
+        # the table built from the live masks against the slice of the
+        # whole 3^n table it replaces: all five arrays, dtypes included
+        rng = np.random.default_rng(26)
+        for _ in range(3000):
+            n = int(rng.integers(0, 11))
+            sup = [rng.choice(1 << n, replace=False, size=int(
+                rng.integers(0, min(1 << n, 24) + 1))) for _ in range(2)]
+            got, want = kernel._restrict(n, *sup), sliced_restrict(n, *sup)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("lsup, rsup", [
+        ([0, 3, 12, 15, 3 << 36, 15 << 36], [0, 3, 12, 15, 3 << 36]),
+        ([4, 7, 8, 1 << 39, 7 << 36], [0, 3 << 36, 12, 15 << 36]),
+        ([7 << 20, 1 << 39], [0, 3, 3 << 36, (1 << 40) - 1]),
+    ])
+    def test_restrict_at_40_generators(self, lsup, rsup):
+        # spec-32-like supports spread over 40 generators, whose whole
+        # table would hold 3^40 triples
+        start = time.perf_counter()
+        kernel._live_table.__wrapped__(40, tuple(lsup), tuple(rsup))
+        assert time.perf_counter() - start < 0.05
+        dst, left, right, signs, starts = kernel._restrict(40, lsup, rsup)
+        k = left | right
+        rows = brute_force_table(lsup, rsup)
+        assert list(zip(k.tolist(), left.tolist(), right.tolist(),
+                        signs.tolist())) == rows
+        assert dst.tolist() == sorted({row[0] for row in rows})
+        assert starts.tolist() == [k.tolist().index(d) for d in dst.tolist()]
+
+    def test_tables_are_cached_and_read_only(self):
+        table = kernel._restrict(4, np.array([3, 0, 3]), [12, 0])
+        assert kernel._restrict(4, [0, 3], (0, 12)) is table
+        assert not any(a.flags.writeable for a in table)
+
+
 def random_grassmann(rng, n, masks, count):
     """A float Grassmann number on ``count`` random masks from ``masks``."""
     picked = rng.choice(masks, size=min(count, len(masks)), replace=False)
@@ -381,8 +446,8 @@ class TestCoefficientTable:
     def test_constant_coefficients_skip_pair_table(self, monkeypatch):
         # per step: the Neumann power of the soul of z, two theta b(z)
         # products and the constant c times z^-1, both factors read from the
-        # work array (a constant's from its columns, its signs folded in),
-        # and no dense product runs
+        # work array (a constant's from its columns, its signs folded in);
+        # the package has no product over the whole pair table at all
         calls = []
         tmul = sde_module._tmul
 
@@ -393,8 +458,8 @@ class TestCoefficientTable:
 
         monkeypatch.setattr(sde_module, "_tmul", counted)
         for module in (kernel, sde_module):
-            monkeypatch.setattr(module, "_bmul", lambda A, B: pytest.fail(
-                "a dense product in the Euler step"))
+            for name in ("_pair_table", "_bmul", "_binv"):
+                assert not hasattr(module, name)
         steps = 1000
         euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
                        BrownianPath.sample(1, 1e-3, steps, 1))
@@ -1733,6 +1798,22 @@ class TestClosedForm32Unbatched:
         assert np.array_equal(bits(got.TH), bits(TH[0]))
         assert conservation_check_32(init, path, kappa) \
             == batched_conservation_check_32(init, path, kappa)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_complex_body_with_soul(self, n):
+        # z0^-1 is the soul series with P_k = body^-(k+1), where the dense
+        # reference divides by body^(k+1): with a complex body the two may
+        # round differently
+        init = init_soul_32(n)
+        init = SuperPoint(init.z + GrassmannNumber.scalar(-0.6 + 0.9j, n,
+                                                          FLOAT), init.theta)
+        path = BrownianPath.sample(1, 1e-3, 300, 4)
+        z0, th0 = _point_vectors(init, 4)
+        Z, TH = batched_cf32_core(z0, th0, 2.0, path.times,
+                                  path.values[0][None, :])
+        got = closed_form_32(init, path, 2.0)
+        for a, b in ((got.Z, Z[0]), (got.TH, TH[0])):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0, 3.0])
     @pytest.mark.parametrize("init", [init_32(), init_soul_32(),
