@@ -60,8 +60,8 @@ from supersle.walk import WalkSpec, match_singular, sde_system, standard_spec
 from supersle import sde as sde_mod
 
 
-# martingale --spec 32 at cutoff 10 takes 1.9 s in-process under tracemalloc
-# (10 MiB peak); the exact projector and the report grow with the PBW basis
+# martingale --spec 32 at cutoff 10 takes 1.3-1.9 s in-process under
+# tracemalloc (10 MiB peak); the exact projector and report grow with the basis
 MAX_CUTOFF = 10
 # sde path arrays are 2^n wide: 1000 steps of a two-generator walk declared
 # with 12 peak at 129 MiB in-process (tracemalloc), 1.3 MiB declared with 4

@@ -262,7 +262,8 @@ def make_generator(index: int, n: int | None = None,
 # only numbers, "I", symbol names, sqrt(...), + - * / **, unary signs and
 # parentheses are accepted, with Python's precedence.  Integers stay exact,
 # decimals become sympy Floats of the written digits, and other names free
-# symbols.  The " + " and "*" separators are only looked for outside braces.
+# symbols.  A power of finite numbers is refused before it is built when
+# |exp| |log10 |base|| >= 10^4.  " + " and "*" are only split outside braces.
 
 _MONO_RE = re.compile(r"^(p\d+)+$")
 _BRACE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -289,9 +290,13 @@ def _parse_brace(text: str):
     def value(node):
         if isinstance(node, (ast.BinOp, ast.UnaryOp)) and \
                 type(node.op) in _BRACE_OPS:
-            args = ([node.left, node.right] if isinstance(node, ast.BinOp)
-                    else [node.operand])
-            return _BRACE_OPS[type(node.op)](*map(value, args))
+            args = [*map(value, [node.left, node.right] if isinstance(
+                node, ast.BinOp) else [node.operand])]
+            if type(node.op) is ast.Pow and all(a.is_finite for a in args):
+                b, e = (sp.N(abs(a)) for a in args)
+                if b and e * abs(sp.log(b, 10)) >= 10000:
+                    raise ValueError(f"power reaching 10^+-10000 in {{{text}}}")
+            return _BRACE_OPS[type(node.op)](*args)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             if type(node.value) is int:
                 return sp.Integer(node.value)

@@ -72,6 +72,7 @@ class DenominatorVanishes(RuntimeError):
 # radius of the ball around the origin in which the body of z counts as
 # swallowed, and the smallest body the two-Brownian closed form inverts
 _SWALLOW_EPS = 1e-6
+_MC_BLOCK = 50  # steps of normals a Monte-Carlo path draws per call
 
 
 # -- Brownian driving paths -----------------------------------------------------
@@ -758,16 +759,39 @@ def walk_elements(spec: WalkSpec, cutoff) -> list:
     return elems
 
 
+def _mc_evolve(S, Ra, Rb, seed, steps: int, dt: float):
+    """S after `steps` steps S += S Ra dt + sum_i dB_i S Rb[i], in place."""
+    rngs = [np.random.default_rng(s) for s in _path_seeds(seed, len(S))]
+    inc = np.empty((len(S), min(_MC_BLOCK, steps), len(Rb)))
+    delta, term = np.empty_like(S), np.empty_like(S)
+    for k0 in range(0, steps, _MC_BLOCK):
+        block = inc[:, :steps - k0]
+        for rng, row in zip(rngs, block):
+            rng.standard_normal(out=row)
+        block *= math.sqrt(dt)
+        for k in range(block.shape[1]):
+            np.matmul(S, Ra, out=delta)
+            delta *= dt
+            for i, R in enumerate(Rb):
+                np.matmul(S, R, out=term)
+                term *= block[:, k, i, None]
+                delta += term
+            S += delta
+    return S
+
+
 def mc_martingale(spec: WalkSpec, params: ModuleParams,
                   cutoff: Fraction | None = None, n_paths: int = 1000,
                   T: float = 0.25, dt: float = 1e-3, seed=0) -> dict:
     """Monte-Carlo estimate of the drift of the projected state expectation.
 
     The enveloping-algebra operator O_t starting from the identity is evolved
-    by right multiplication with 1 + alpha dt + sum_i beta_i dB_i, words above
-    the level cutoff trimmed.  O_t applied to the highest-weight vector is
-    projected to the quotient by the singular-vector submodule; the per-basis
-    coefficient drift (v_T - v_0)/T is averaged grade-by-grade over paths.
+    in place by right multiplication with 1 + alpha dt + sum_i beta_i dB_i
+    (words above the cutoff trimmed), path p drawing BrownianPath.sample's
+    normals for seed [seed, p] from one generator _MC_BLOCK steps at a time,
+    so memory is flat in T/dt.  O_t on the highest-weight vector is projected
+    to the quotient by the singular-vector submodule; the per-basis drift
+    (v_T - v_0)/T is averaged grade-by-grade over paths.
     """
     if cutoff is None:
         cutoff = params.level_cutoff
@@ -782,16 +806,7 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
     steps = round(T / dt)
     S = np.zeros((n_paths, len(live)), dtype=complex)
     S[:, 0] = 1.0
-    increments = np.empty((n_paths, steps, spec.brownian_dim))
-    # BrownianPath.sample's draws for seed [seed, p]
-    for p, path_seed in enumerate(_path_seeds(seed, n_paths)):
-        np.random.default_rng(path_seed).standard_normal(out=increments[p])
-    increments *= math.sqrt(dt)
-    for k in range(steps):
-        delta = dt * (S @ Ra)
-        for i, R in enumerate(Rb):
-            delta += increments[:, k, i][:, None] * (S @ R)
-        S += delta
+    S = _mc_evolve(S, Ra, Rb, seed, steps, dt)
     Pm = quotient_projection(params, cutoff, check_singular=False,
                              levels={word_level(words[i]) for i, _j in live}
                              ).matrix(words, [words[i] for i, _j in live])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,28 @@ def test_sde_walk_key_bound(capsys, tmp_path, key):
     assert code in (0, 1) and "key" not in err
 
 
+# brace powers whose exact value would reach 10^10000: building one takes
+# seconds (10**10**7) or does not finish (10**10**8)
+BIG_BRACE_POWERS = ("{10**10**7}", "{10**10**8}", "{sqrt(2)**10**9}")
+
+
+@pytest.mark.parametrize("command", ["sde", "martingale"])
+@pytest.mark.parametrize("y", BIG_BRACE_POWERS)
+def test_brace_power_bound(capsys, tmp_path, command, y):
+    """A brace power with |exp| |log10 |base|| >= 10^4 exits 2 in process
+    within 0.1 s, with one line that names the brace."""
+    spec = tmp_path / "walk.json"
+    spec.write_text(json.dumps({"n": 4, "b": 1, "alpha0": {"-1": {"y": y}},
+                                "beta": [{"-1": {"y": "1"}}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--spec", f"file:{spec}",
+                         "--kappa", "1", "--T", "0.01", "--paths", "2")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot load walk spec from '{spec}': power "
+                   f"reaching 10^+-10000 in {y}\n")
+
+
 @pytest.mark.parametrize("command, walk, argv, expected", [
     ("sde", "[1, 2]", ["--T", "0.01"], 2),
     ("martingale", {"n": 4, "b": 1, "beta": [{"-1": {"y": "{x}*p0p1"}}]},
@@ -324,6 +347,11 @@ def test_sde_walk_key_bound(capsys, tmp_path, key):
     *(("sde", {"n": 1, "b": 1, "alpha0": {key: {"y": "1"}},
                "beta": [{"-1": {"y": "1"}}]}, ["--T", "0.01"], 2)
       for key in ("65", "-3000", "1000000")),
+    # a brace power reaching 10^+-10000, refused before it is built
+    *((command, {"n": 4, "b": 1, "alpha0": {"-1": {"y": y}},
+                 "beta": [{"-1": {"y": "1"}}]},
+       ["--T", "0.01", "--paths", "2"], 2)
+      for command in ("sde", "martingale") for y in BIG_BRACE_POWERS),
 ])
 def test_bad_walk_file_exit_code(capsys, tmp_path, monkeypatch, command,
                                  walk, argv, expected):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -906,6 +907,21 @@ def reference_mc_martingale(basis, spec, params, cutoff, n_paths, T, dt,
     }
 
 
+def whole_draws_mc_evolve(S, Ra, Rb, seed, steps, dt):
+    """The stepping loop mc_martingale had before its block draws: every
+    path's increments drawn at once, and a new array for every product."""
+    increments = np.empty((len(S), steps, len(Rb)))
+    for p, path_seed in enumerate(sde_module._path_seeds(seed, len(S))):
+        np.random.default_rng(path_seed).standard_normal(out=increments[p])
+    increments *= math.sqrt(dt)
+    for k in range(steps):
+        delta = dt * (S @ Ra)
+        for i, R in enumerate(Rb):
+            delta += increments[:, k, i][:, None] * (S @ R)
+        S += delta
+    return S
+
+
 def report_text(rep):
     buf = io.StringIO()
     write_json_report(rep, buf)
@@ -917,6 +933,11 @@ COMPLEX_WALK = {"n": 2, "b": 1,
                 "alpha0": {"-2": {"eta": "(1/2,1/3)*p0"}},
                 "beta": [{"-1": {"y": "(1,1/2) + (0,-3/4)*p0p1",
                                  "eta": "(3/4,-1/4)*p1"}}]}
+
+
+# a file: walk with the Gaussian rational (3/10,7/10) in alpha
+GAUSSIAN_WALK = {"n": 7, "b": 1, "alpha0": {"-1": {"y": "(3/10,7/10)"}},
+                 "beta": [{"-1": {"y": "1", "eta": "1*p0 + 1*p6"}}]}
 
 
 # beta = L_0 keeps every path on the identity word, the only reachable state
@@ -1070,6 +1091,46 @@ class TestMcMartingale:
             want = reference_mc_martingale(basis, spec, params, cutoff, 40,
                                            0.02, 1e-3, seed)
             assert report_text(got) == report_text(want)
+
+    @pytest.mark.parametrize("n_paths", [2, 300])
+    @pytest.mark.parametrize("steps", [1, 49, 50, 51, 137])
+    @pytest.mark.parametrize("case", ["32", "32alt", "virasoro", "gaussian"])
+    def test_block_draws_match_whole_draws(self, monkeypatch, case, steps,
+                                           n_paths):
+        # drawing _MC_BLOCK steps at a time and stepping in place gives the
+        # bits of one draw of every step and allocating products, at any
+        # block size: one step, a prime, and more than all steps
+        if case == "gaussian":
+            spec, params = WalkSpec.from_json(GAUSSIAN_WALK), \
+                params_from_kappa_ns(2)
+        else:
+            spec, params = mc_case(case)
+
+        def report():
+            return json.dumps(mc_martingale(spec, params, n_paths=n_paths,
+                                            T=steps / 1000, dt=1e-3, seed=5))
+
+        with monkeypatch.context() as m:
+            m.setattr(sde_module, "_mc_evolve", whole_draws_mc_evolve)
+            want = report()
+        for block in (1, 7, 10**6):
+            monkeypatch.setattr(sde_module, "_MC_BLOCK", block)
+            assert report() == want
+
+    def test_peak_memory_flat_in_steps(self):
+        # 32alt at 500 paths: only a block of draws is held, so 1000 steps
+        # peak within 1.1 times 250 steps (one draw of every step: 3.1 times)
+        spec, params = mc_case("32alt")
+        mc_martingale(spec, params, n_paths=500, T=0.01, dt=1e-3)  # caches
+        peaks = []
+        for T in (0.25, 1.0):
+            tracemalloc.start()
+            try:
+                mc_martingale(spec, params, n_paths=500, T=T, dt=1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestLoewner:
