@@ -13,6 +13,7 @@ trace.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -73,6 +74,8 @@ class DenominatorVanishes(RuntimeError):
 # swallowed, and the smallest body the two-Brownian closed form inverts
 _SWALLOW_EPS = 1e-6
 _MC_BLOCK = 50  # steps of normals a Monte-Carlo path draws per call
+# OpenBLAS runs a complex product of <= _BLAS_SERIAL multiply-adds serially
+_BLAS_SERIAL, _MC_TILE_MIN = 2**16, 256
 
 
 # -- Brownian driving paths -----------------------------------------------------
@@ -760,23 +763,33 @@ def walk_elements(spec: WalkSpec, cutoff) -> list:
 
 
 def _mc_evolve(S, Ra, Rb, seed, steps: int, dt: float):
-    """S after `steps` steps S += S Ra dt + sum_i dB_i S Rb[i], in place."""
-    rngs = [np.random.default_rng(s) for s in _path_seeds(seed, len(S))]
-    inc = np.empty((len(S), min(_MC_BLOCK, steps), len(Rb)))
-    delta, term = np.empty_like(S), np.empty_like(S)
-    for k0 in range(0, steps, _MC_BLOCK):
-        block = inc[:, :steps - k0]
-        for rng, row in zip(rngs, block):
-            rng.standard_normal(out=row)
-        block *= math.sqrt(dt)
-        for k in range(block.shape[1]):
-            np.matmul(S, Ra, out=delta)
-            delta *= dt
-            for i, R in enumerate(Rb):
-                np.matmul(S, R, out=term)
-                term *= block[:, k, i, None]
-                delta += term
-            S += delta
+    """S after `steps` steps S += S Ra dt + sum_i dB_i S Rb[i], in place, in
+    balanced tiles of at most _BLAS_SERIAL / L^2 paths for L live states if
+    that is _MC_TILE_MIN or more (else whole), one tile's generators at a time.
+    """
+    rows = _BLAS_SERIAL // S.shape[1]**2
+    tiles = np.array_split(S, -(-len(S) // rows)) if rows >= _MC_TILE_MIN else [S]
+    seeds = _path_seeds(seed, len(S))
+    inc = np.empty((len(tiles[0]), min(_MC_BLOCK, steps), len(Rb)))
+    delta, term = np.empty_like(tiles[0]), np.empty_like(tiles[0])
+    for St in tiles:
+        m = len(St)
+        rngs = [np.random.default_rng(s) for s in itertools.islice(seeds, m)]
+        d, t = delta[:m], term[:m]
+        for k0 in range(0, steps, _MC_BLOCK):
+            block = inc[:m, :steps - k0]
+            for rng, row in zip(rngs, block):
+                rng.standard_normal(out=row)
+            block *= math.sqrt(dt)
+            for k in range(block.shape[1]):
+                np.matmul(St, Ra, out=d)
+                d *= dt
+                for i, R in enumerate(Rb):
+                    np.matmul(St, R, out=t)
+                    t *= block[:, k, i, None]
+                    d += t
+                St += d
+        del rngs
     return S
 
 
@@ -787,12 +800,14 @@ def mc_martingale(spec: WalkSpec, params: ModuleParams,
 
     The enveloping-algebra operator O_t starting from the identity is evolved
     in place by right multiplication with 1 + alpha dt + sum_i beta_i dB_i
-    (words above the cutoff trimmed), path p drawing BrownianPath.sample's
-    normals for seed [seed, p] from one generator _MC_BLOCK steps at a time,
-    so memory is flat in T/dt.  O_t on the highest-weight vector is projected
-    to the quotient by the singular-vector submodule; the per-basis drift
-    (v_T - v_0)/T is averaged grade-by-grade over paths.
+    (words above the cutoff trimmed), in path tiles (see _mc_evolve); path p
+    draws BrownianPath.sample's normals for seed [seed, p] _MC_BLOCK steps at
+    a time, so memory is flat in T/dt.  O_t on the highest-weight vector is
+    projected to the quotient by the singular-vector submodule; the per-basis
+    drift (v_T - v_0)/T is averaged grade-by-grade over paths.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     if cutoff is None:
         cutoff = params.level_cutoff
     cutoff = Fraction(cutoff)

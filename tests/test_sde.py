@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -922,6 +923,29 @@ def whole_draws_mc_evolve(S, Ra, Rb, seed, steps, dt):
     return S
 
 
+def whole_array_mc_evolve(S, Ra, Rb, seed, steps, dt):
+    """The stepping loop _mc_evolve had before its path tiles: every path's
+    generator alive at once, and every product on the whole (paths, live)
+    array."""
+    rngs = [np.random.default_rng(s) for s in _path_seeds(seed, len(S))]
+    inc = np.empty((len(S), min(sde_module._MC_BLOCK, steps), len(Rb)))
+    delta, term = np.empty_like(S), np.empty_like(S)
+    for k0 in range(0, steps, sde_module._MC_BLOCK):
+        block = inc[:, :steps - k0]
+        for rng, row in zip(rngs, block):
+            rng.standard_normal(out=row)
+        block *= math.sqrt(dt)
+        for k in range(block.shape[1]):
+            np.matmul(S, Ra, out=delta)
+            delta *= dt
+            for i, R in enumerate(Rb):
+                np.matmul(S, R, out=term)
+                term *= block[:, k, i, None]
+                delta += term
+            S += delta
+    return S
+
+
 def report_text(rep):
     buf = io.StringIO()
     write_json_report(rep, buf)
@@ -938,6 +962,12 @@ COMPLEX_WALK = {"n": 2, "b": 1,
 # a file: walk with the Gaussian rational (3/10,7/10) in alpha
 GAUSSIAN_WALK = {"n": 7, "b": 1, "alpha0": {"-1": {"y": "(3/10,7/10)"}},
                  "beta": [{"-1": {"y": "1", "eta": "1*p0 + 1*p6"}}]}
+
+
+# a file: walk with z^-2 to z^3 keys (17 reachable states at cutoff 7/2)
+POWERS_WALK = {"n": 4, "b": 1, "alpha0": {"-2": {"y": "-2"}},
+               "beta": [{"-1": {"y": "1", "eta": "1*p0"},
+                         "1": {"y": "(1/2,1/3)*p1p2", "eta": "1*p3"}}]}
 
 
 # beta = L_0 keeps every path on the identity word, the only reachable state
@@ -1131,6 +1161,93 @@ class TestMcMartingale:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("case, cutoff, n_paths", [
+        ("32alt", Fraction(7, 2), 2), ("32alt", Fraction(7, 2), 333),
+        ("32alt", Fraction(7, 2), 334), ("32alt", Fraction(7, 2), 335),
+        ("32alt", Fraction(7, 2), 669), ("32alt", Fraction(7, 2), 2000),
+        ("32", Fraction(7, 2), 2621), ("32", Fraction(7, 2), 2622),
+        ("32alt", Fraction(11, 2), 300), ("powers", Fraction(7, 2), 300)])
+    def test_tiles_match_whole_array(self, monkeypatch, case, cutoff,
+                                     n_paths):
+        # 14 live states tile at 334 paths, 5 at 2621; 27 (cutoff 11/2) and
+        # the 17 of the z^-2..z^3 walk step whole: every report keeps its bits
+        if case == "powers":
+            spec, params = WalkSpec.from_json(POWERS_WALK), \
+                params_from_kappa_ns(2)
+        else:
+            spec, params = mc_case(case)
+
+        def report():
+            return json.dumps(mc_martingale(spec, params, cutoff=cutoff,
+                                            n_paths=n_paths, T=0.02,
+                                            dt=1e-3, seed=8))
+
+        with monkeypatch.context() as m:
+            m.setattr(sde_module, "_mc_evolve", whole_array_mc_evolve)
+            want = report()
+        assert report() == want
+
+    @pytest.mark.parametrize("live, rows", [(5, 2621), (14, 334), (16, 256),
+                                            (17, None), (27, None)])
+    def test_tile_rule(self, monkeypatch, live, rows):
+        # balanced tiles of at most 2^16 / live^2 paths, none shorter than
+        # half a tile, when that is 256 paths or more; else one whole tile
+        sizes = []
+
+        def islice(it, m):
+            sizes.append(m)
+            return itertools.islice(it, m)
+
+        monkeypatch.setattr(sde_module, "itertools",
+                            SimpleNamespace(islice=islice))
+        R = np.zeros((live, live), dtype=complex)
+
+        def tiles(n):
+            sizes.clear()
+            sde_module._mc_evolve(np.zeros((n, live), dtype=complex), R, [R],
+                                  0, 0, 1e-3)
+            return sizes[:]
+
+        for n in (1, 2, 255, 256, 257, 333, 334, 335, 669, 2621, 2622, 5243):
+            got = tiles(n)
+            assert sum(got) == n
+            if rows is None or n <= rows:
+                assert got == [n]
+            else:
+                assert len(got) == -(-n // rows)
+                assert max(got) <= rows and max(got) - min(got) <= 1
+                assert 2 * min(got) >= rows
+        assert tiles(2000) == {14: [334] * 2 + [333] * 4,
+                               16: [250] * 8}.get(live, [2000])
+
+    @pytest.mark.parametrize("case, limit_mib", [("32alt", 6), ("32", 8)])
+    def test_stepping_peak_memory(self, case, limit_mib):
+        # 10000 paths: one tile's generators and draws are held at a time
+        # (all of them at once: 22.3 MiB for 32alt, 13.6 MiB for spec 32)
+        spec, params = mc_case(case)
+        cutoff = params.level_cutoff
+        elements = walk_elements(spec, cutoff)
+        module = VermaModule(ModuleParams(params.c, params.delta, cutoff))
+        _live, (Ra, *Rb) = _reachable_transitions(
+            elements, pbw_words(cutoff), _reachable_masks(elements), module)
+        tracemalloc.start()
+        try:
+            S = np.zeros((10_000, len(Ra)), dtype=complex)
+            S[:, 0] = 1.0
+            sde_module._mc_evolve(S, Ra, Rb, 0, 50, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_refuses_fewer_than_one_path(self, monkeypatch, n_paths):
+        # refused before any work: the walk's elements are never built
+        monkeypatch.setattr(sde_module, "walk_elements", None)
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            mc_martingale(spec_32(2), params_from_kappa_ns(2),
+                          n_paths=n_paths, T=0.01, dt=1e-3)
 
 
 class TestLoewner:
