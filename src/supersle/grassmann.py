@@ -107,17 +107,20 @@ class GrassmannNumber:
         return max(self.n, other.n), self.ring
 
     def _as_grassmann(self, x):
+        """x as a GrassmannNumber, or NotImplemented if x is not a scalar."""
         if isinstance(x, GrassmannNumber):
             return x
-        return GrassmannNumber(self.n, self.ring, {0: x})
+        try:
+            return GrassmannNumber(self.n, self.ring, {0: x})
+        except (TypeError, sp.SympifyError):
+            return NotImplemented
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = self._as_grassmann(other)
-        except (TypeError, sp.SympifyError):
-            return NotImplemented
+        other = self._as_grassmann(other)
+        if other is NotImplemented:
+            return other
         n, ring = self._join(other)
         terms = dict(self.terms)
         for mask, c in other.terms.items():
@@ -130,11 +133,8 @@ class GrassmannNumber:
         return GrassmannNumber(self.n, self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        try:
-            other = self._as_grassmann(other)
-        except (TypeError, sp.SympifyError):
-            return NotImplemented
-        return self + (-other)
+        other = self._as_grassmann(other)
+        return other if other is NotImplemented else self + (-other)
 
     # -- multiplication ---------------------------------------------------
 
@@ -214,11 +214,9 @@ class GrassmannNumber:
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, GrassmannNumber):
-            try:
-                other = self._as_grassmann(other)
-            except (TypeError, sp.SympifyError):
-                return NotImplemented
+        other = self._as_grassmann(other)
+        if other is NotImplemented:
+            return other
         if self.ring.kind != other.ring.kind:
             return False
         if self.terms.keys() != other.terms.keys():

@@ -12,7 +12,8 @@ r1 > ... > rm >= 1/2.  Normal ordering commutes annihilators to the right
 recursively, over the ground domain of (c, Delta): QQ for rationals, a
 fraction field over free symbols, EX otherwise.  Coefficients of vectors are
 Grassmann numbers, and odd coefficients pick up a sign when a word with an
-odd number of G modes moves past them.
+odd number of G modes moves past them.  Algebra elements and vectors share
+one immutable {word: coefficient} core: init, +, -, == and repr.
 """
 from __future__ import annotations
 
@@ -143,134 +144,115 @@ def _bracket_terms(a: Mode, b: Mode, c, K=None):
 
 def bracket(a: Mode, b: Mode, c) -> "AlgebraElement":
     """The (anti)commutator of two modes, central term included."""
-    terms = {}
     # sympified first: 1 and 1.0 are one cache key but distinct central charges
-    for scalar, mode in _bracket_terms(a, b, sp.sympify(c)):
-        word = () if mode is None else (mode,)
-        terms[word] = terms.get(word, 0) + scalar
-    return AlgebraElement({w: GrassmannNumber.scalar(s) for w, s in terms.items()})
+    return AlgebraElement({() if m is None else (m,): s
+                           for s, m in _bracket_terms(a, b, sp.sympify(c))})
 
 
-class AlgebraElement:
-    """Finite linear combination of generator words with Grassmann coefficients."""
+class _Combination:
+    """Immutable {word: GrassmannNumber} map in first-insertion order, scalars
+    wrapped and zero terms dropped; subclasses name the map publicly."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
+    _ket = ""  # printed after each word by repr
 
     def __init__(self, terms=None):
         clean = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
-            if not isinstance(coeff, GrassmannNumber):
-                coeff = GrassmannNumber.scalar(coeff)
-            if not coeff.is_zero():
-                clean[word] = coeff
-        object.__setattr__(self, "terms", clean)
+        for word, c in (terms or {}).items():
+            c = c if isinstance(c, GrassmannNumber) else GrassmannNumber.scalar(c)
+            if not c.is_zero():
+                clean[tuple(word)] = c
+        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms):
+        """A combination of this type, over the same module, with these terms."""
+        return type(self)(terms)
+
+    def __add__(self, other):
+        terms = dict(self._terms)
+        for w, c in other._terms.items():
+            terms[w] = terms[w] + c if w in terms else c
+        return self._like(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({w: -c for w, c in self._terms.items()})
+
+    def __eq__(self, other):
+        return (not (self - other)._terms if isinstance(other, type(self))
+                else NotImplemented)
+
+    def _shown(self):
+        return self._terms.items()
+
+    def __repr__(self):
+        bits = [f"({format_grassmann(c)})*{_word_str(w)}{self._ket}"
+                for w, c in self._shown()]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class AlgebraElement(_Combination):
+    """Finite linear combination of generator words with Grassmann coefficients."""
+
+    __slots__ = ()
+    terms = property(lambda self: self._terms)
 
     @classmethod
     def from_mode(cls, coeff, mode: Mode) -> "AlgebraElement":
         return cls({(mode,): coeff})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms[w] + c if w in terms else c
-        return AlgebraElement(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             terms = {}
-            for w1, c1 in self.terms.items():
+            for w1, c1 in self._terms.items():
                 p1 = word_parity(w1)
-                for w2, c2 in other.terms.items():
+                for w2, c2 in other._terms.items():
                     # move c2 through w1: sign on the odd part of c2
-                    c2w = c2 if p1 == 0 else c2.grade_involution()
+                    c = c1 * (c2 if p1 == 0 else c2.grade_involution())
                     w = w1 + w2
-                    c = c1 * c2w
                     terms[w] = terms[w] + c if w in terms else c
             return AlgebraElement(terms)
-        return AlgebraElement({w: c * other for w, c in self.terms.items()})
+        return AlgebraElement({w: c * other for w, c in self._terms.items()})
 
     def __rmul__(self, other):
         # scalar or Grassmann from the left
-        return AlgebraElement({w: other * c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return not (self - other).terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "AlgebraElement(0)"
-        bits = [f"({format_grassmann(c)})*{_word_str(w)}" for w, c in self.terms.items()]
-        return "AlgebraElement(" + " + ".join(bits) + ")"
+        return AlgebraElement({w: other * c for w, c in self._terms.items()})
 
 
-class VermaVector:
+class VermaVector(_Combination):
     """Vector in a level-truncated Verma module, PBW monomials -> coefficients."""
 
-    __slots__ = ("entries", "params")
+    __slots__ = ("params",)
+    _ket = "|D>"
+    entries = property(lambda self: self._terms)
 
     def __init__(self, params: ModuleParams, entries=None):
-        clean = {}
-        for mono, coeff in (entries or {}).items():
-            mono = tuple(mono)
-            if not isinstance(coeff, GrassmannNumber):
-                coeff = GrassmannNumber.scalar(coeff)
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        object.__setattr__(self, "entries", clean)
+        super().__init__(entries)
         object.__setattr__(self, "params", params)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VermaVector is immutable")
-
-    def __add__(self, other):
-        entries = dict(self.entries)
-        for m, c in other.entries.items():
-            entries[m] = entries[m] + c if m in entries else c
+    def _like(self, entries):
         return VermaVector(self.params, entries)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VermaVector(self.params, {m: -c for m, c in self.entries.items()})
+    def _shown(self):
+        return sorted(self._terms.items(), key=lambda kv: word_level(kv[0]))
 
     def lmul(self, g) -> "VermaVector":
         """Left multiplication of every coefficient by g (Grassmann or scalar)."""
-        return VermaVector(self.params, {m: g * c for m, c in self.entries.items()})
+        return self._like({m: g * c for m, c in self._terms.items()})
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._terms
 
     def level(self) -> Fraction:
-        return max((word_level(m) for m in self.entries), default=Fraction(0))
+        return max((word_level(m) for m in self._terms), default=Fraction(0))
 
     def coefficient(self, mono) -> GrassmannNumber:
-        return self.entries.get(tuple(mono), GrassmannNumber.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        diff = self - other
-        return all(c.is_zero() for c in diff.entries.values())
-
-    def __repr__(self):
-        if not self.entries:
-            return "VermaVector(0)"
-        bits = [f"({format_grassmann(c)})*{_word_str(m)}|D>"
-                for m, c in sorted(self.entries.items(), key=lambda kv: word_level(kv[0]))]
-        return "VermaVector(" + " + ".join(bits) + ")"
+        return self._terms.get(tuple(mono), GrassmannNumber.zero())
 
 
 def _pbw_ok(m: Mode, first: Mode) -> bool:
@@ -350,18 +332,17 @@ class VermaModule:
 
     def apply(self, elem: AlgebraElement, v: VermaVector) -> VermaVector:
         """elem acting on v, output in the PBW basis."""
-        out = VermaVector(self.params)
+        out = {}
         for word, c in elem.terms.items():
             p = word_parity(word)
             for mono, d in v.entries.items():
                 # word passes the coefficient d: sign on d's odd part
-                d_adj = d if p == 0 else d.grade_involution()
-                coeff = c * d_adj
-                entries = {}
+                coeff = c * (d if p == 0 else d.grade_involution())
                 for fin, s in self.act_word(word, mono).items():
-                    entries[fin] = coeff * s
-                out = out + VermaVector(self.params, entries)
-        return out
+                    out[fin] = out[fin] + coeff * s if fin in out else coeff * s
+                    if out[fin].is_zero():  # a cancelled word re-enters last
+                        del out[fin]
+        return VermaVector(self.params, out)
 
 
 # -- singular vectors ---------------------------------------------------------
@@ -505,8 +486,7 @@ class Projector:
             c = out.entries.get(pivot)
             if c is None:
                 continue
-            entries = {m: c * (-s) for m, s in row.items()}
-            out = out + VermaVector(self.params, entries)
+            out = out + VermaVector(self.params, {m: c * (-s) for m, s in row.items()})
         return out
 
     def matrix(self, words, columns):

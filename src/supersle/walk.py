@@ -280,13 +280,10 @@ def coefficient_route_commutator(spec: WalkSpec, i: int, delta,
 
 def _table_element(table) -> AlgebraElement:
     """sum_n (y_n L_n + eta_n G_{n+1/2}) for one coefficient table."""
-    out = AlgebraElement()
-    for n, (y, eta) in table.items():
-        if not y.is_zero():
-            out = out + AlgebraElement.from_mode(y, L(n))
-        if not eta.is_zero():
-            out = out + AlgebraElement.from_mode(eta, G(Fraction(2 * n + 1, 2)))
-    return out
+    terms = {}
+    for n, (y, eta) in table.items():  # zero coefficients are dropped
+        terms[(L(n),)], terms[(G(Fraction(2 * n + 1, 2)),)] = y, eta
+    return AlgebraElement(terms)
 
 
 def alpha_element(spec: WalkSpec) -> AlgebraElement:

@@ -428,6 +428,98 @@ def test_fuzzed_argv_exit_contract(case):
         assert len(stderr.getvalue().strip().splitlines()) == 1
 
 
+# walk-file coefficient tokens by the grammar of grassmann.parse_grassmann
+WALK_COEFFS = ("1", "-2", "3", "0.5", "-0.0", "5e-324", "1e300", "3/7",
+               "-1/2", "(1/2,1/3)", "(0.5,-2)", "{sqrt(2)}", "{I}", "{2**60}")
+# and junk values, one of which goes into a share of the files
+WALK_JUNK = {"n": (-1, 13, 40), "b": (0, 3),
+             "key": ("65", "-3000", "1000000"),
+             "coeff": ("1/0", "1e99999999", "{10**10**7}", "abc", "(1,", "")}
+
+
+@st.composite
+def walk_file(draw):
+    """A command and a walk file: n of 0-6 generators, b = len(beta), keys
+    -3..3, y on even and eta on odd monomials; about one file in four then
+    takes one junk n, b, key or coefficient."""
+    junk = draw(st.sampled_from([None] * 12 + list(WALK_JUNK)))
+    n = draw(st.integers(0, 6))
+
+    def value(odd):
+        terms = []
+        for _ in range(draw(st.integers(1, 2))):
+            mask = draw(st.integers(0, 2 ** n - 1))
+            if mask.bit_count() % 2 != odd:
+                mask ^= 1
+            mono = "".join(f"p{i}" for i in range(n) if mask >> i & 1)
+            coeff = draw(st.sampled_from(WALK_COEFFS))
+            terms.append(f"{coeff}*{mono}" if mono else coeff)
+        return " + ".join(terms)
+
+    def table(least):
+        out = {}
+        for _ in range(draw(st.integers(least, 2))):
+            entry = {}
+            if draw(st.booleans()):
+                entry["y"] = value(0)
+            if n and draw(st.booleans()):  # no odd monomial without generators
+                entry["eta"] = value(1)
+            out[str(draw(st.integers(-3, 3)))] = entry
+        return out
+
+    walk = {"n": n, "b": draw(st.integers(1, 2)), "alpha0": table(0)}
+    walk["beta"] = [table(1) for _ in range(walk["b"])]
+    if junk:
+        bad = draw(st.sampled_from(WALK_JUNK[junk]))
+        if junk == "key":
+            walk["beta"][0][bad] = {"y": "1"}
+        elif junk == "coeff":
+            walk["alpha0"]["-2"] = {"y": bad}
+        else:
+            walk[junk] = bad
+    return draw(st.sampled_from(["sde", "martingale"])), walk
+
+
+def _check_finite_output(command, out):
+    if command == "sde":
+        rows = [line.split(",") for line in out.splitlines()
+                if not line.startswith("#")][1:]
+        assert rows and all(cell and math.isfinite(float(cell))
+                            for row in rows for cell in row)
+    else:
+        for entry in json.loads(out)["report"]["entries"]:
+            assert all(math.isfinite(entry[k]) for k in (
+                "terminal_re", "terminal_im", "drift_re", "drift_im",
+                "se_re", "se_im"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(walk_file())
+def test_fuzzed_walk_file_exit_contract(case):
+    """Any walk file exits 0, 1 or 2 within 2 s; a non-zero exit prints one
+    stderr line, and exit 0 comes only with finite output."""
+    command, walk = case
+    argv = {"sde": ["--T", "0.01"],
+            "martingale": ["--T", "0.01", "--paths", "4", "--dt", "1e-3",
+                           "--cutoff", "4"]}[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "walk.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(walk, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([command, "--spec", f"file:{spec}", "--kappa", "2",
+                         *argv])
+        assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2)
+    if code:
+        assert len(stderr.getvalue().strip().splitlines()) == 1
+    else:
+        _check_finite_output(command, stdout.getvalue())
+
+
 class TestMartingale:
     def test_matched_expectation(self, capsys):
         code, out, _ = run(capsys, "martingale", "--spec", "32", "--kappa",

@@ -25,6 +25,7 @@ from supersle.walk import (
     SdeSystem,
     WalkSpec,
     beta_commutator,
+    beta_element,
     coefficient_route_commutator,
     diffusion_from_spec,
     drift_from_spec,
@@ -129,6 +130,44 @@ class TestDrift:
         system = sde_system(spec_32(2))
         assert isinstance(system, SdeSystem)
         assert len(system.diffusion) == 1
+
+
+# A walk whose coefficients carry several masks, in a written order
+MIXED_WALK = {"n": 4, "b": 1, "alpha0": {"-2": {"y": "-2 + 1*p1p2"}},
+              "beta": [{"-1": {"y": "1 + 1*p0p1", "eta": "1*p3 + 1*p0"},
+                        "1": {"eta": "1*p2 + 1*p0p1p3"}}]}
+
+
+def _order(elem):
+    return [(w, list(c.terms)) for w, c in elem.terms.items()]
+
+
+@pytest.mark.parametrize("spec, drift, betas", [
+    (spec_32(2),
+     [((G(Fraction(-3, 2)),), [7]), ((L(-1), G(-HALF)), [7]),
+      ((G(-HALF), L(-1)), [7])],
+     [[((L(-1),), [3]), ((G(-HALF),), [4])]]),
+    (spec_32alt(2),
+     [((G(Fraction(-3, 2)),), [1]), ((L(-1), G(-HALF)), [1]),
+      ((G(-HALF), L(-1)), [1])],
+     [[((L(-1),), [0]), ((G(-HALF),), [1])], [((L(-1),), [0])]]),
+    (spec_virasoro(2),
+     [((L(-2),), [0]), ((L(-1), L(-1)), [0])],
+     [[((L(-1),), [0])]]),
+    (WalkSpec.from_json(MIXED_WALK),
+     [((L(-2),), [0, 6]), ((L(-1), L(-1)), [0, 3]),
+      ((L(-1), G(-HALF)), [8, 1, 11]), ((L(-1), G(3 * HALF)), [4, 11, 7]),
+      ((G(-HALF), L(-1)), [8, 11, 1]), ((G(-HALF), G(3 * HALF)), [12, 5]),
+      ((G(3 * HALF), L(-1)), [4, 7, 11]), ((G(3 * HALF), G(-HALF)), [12, 5])],
+     [[((L(-1),), [0, 3]), ((G(-HALF),), [8, 1]), ((G(3 * HALF),), [4, 11])]]),
+], ids=["32", "32alt", "virasoro", "mixed-masks"])
+def test_element_term_order(spec, drift, betas):
+    """The order of words and of their coefficients' masks is pinned: the
+    Monte-Carlo stepping sums floats in this order (sde._element_data), so
+    a reordering changes the last bits of a martingale report."""
+    assert _order(drift_generator(spec)) == drift
+    assert [_order(beta_element(spec, i))
+            for i in range(spec.brownian_dim)] == betas
 
 
 class TestDriftVector:
