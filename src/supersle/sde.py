@@ -3,12 +3,12 @@
 Float-coefficient Grassmann states are the dense mask vectors of
 ``supersle.kernel``, so closed-form evaluation and Monte-Carlo averaging
 are plain numpy array operations.  Euler--Maruyama compiles the SDE once per
-integration to a step program on compact columns: z and theta on the masks
-the batch can reach, plus the products of a step.  The Monte-Carlo check
-steps only the (word, mask) states reachable from the identity, with words
-normal-ordered by ``ns_algebra.VermaModule``.  The module also provides the
-classical Loewner flow and rasterized hulls of the scaled complex Brownian
-trace.
+integration to numpy calls bound to views of compact columns: z and theta
+on the masks the batch can reach, plus the products of a step.  The
+Monte-Carlo check steps only the (word, mask) states reachable from the
+identity, with words normal-ordered by ``ns_algebra.VermaModule``.  The
+module also provides the classical Loewner flow and rasterized hulls of the
+scaled complex Brownian trace.
 """
 
 from __future__ import annotations
@@ -357,10 +357,39 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
     return _StepPlan(zsup, tsup, lo, ops, out), W
 
 
+def _bind(plan: _StepPlan, W: np.ndarray) -> list:
+    """``plan.ops`` as calls on views of W made once.  A one-triple product
+    is a multiply, then its signs; an op on at most three runs of columns
+    is a call per run, a sum's +0 terms left out (W starts at +0)."""
+    calls, zero = [], plan.zsup.size + plan.tsup.size  # the +0 column
+    for f, args, out in plan.ops:
+        o, signs = W[:, out], None
+        if getattr(f, "func", None) is _tmul and f.args[0][4] is None:
+            f, args, signs = np.multiply, f.args[0][1:3], f.args[0][3]
+        if all(isinstance(a, slice) for a in args):
+            calls.append(partial(f, *[W[:, a] for a in args], out=o))
+        else:  # rows: each position in out, then each argument's column
+            runs = np.array([range(o.shape[1]), *(np.r_[a] for a in args)])
+            if getattr(f, "func", f) is np.add:
+                runs = runs[:, runs[-1] != zero]
+            runs = [r for r in np.split(runs, 1 + np.flatnonzero(
+                (np.diff(runs) != 1).any(axis=0)), axis=1) if r.size]
+            if len(runs) > 3:  # scattered columns are gathered at every call
+                calls.append(lambda f=f, a=args, o=o: f(
+                    *[W[:, c] for c in a], out=o))
+            else:
+                for (p, *c), n in ((r[:, 0], r.shape[1]) for r in runs):
+                    calls.append(partial(f, *[W[:, i:i + n] for i in c],
+                                         out=o[:, p:p + n]))
+        if signs is not None:
+            calls.append(partial(np.multiply, o, signs, out=o))
+    return calls
+
+
 def _derivative(plan: _StepPlan, W: np.ndarray) -> np.ndarray:
     """Every function at the state in W, shape (paths, rows, ncols)."""
-    for f, args, out in plan.ops:
-        f(*[W[:, a] for a in args], out=W[:, out])
+    for call in _bind(plan, W):
+        call()
     return W[:, plan.out].reshape(len(W), -1, plan.zsup.size + plan.tsup.size)
 
 
@@ -371,9 +400,8 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     Returns (Z, TH) of shape (paths, steps+1, 2^n), or (paths, 1, 2^n) for
     the terminal states only without ``history``, and the first swallowing
     step index per path (steps+1 when never swallowed).  Swallowed paths
-    are frozen at their last valid state.  The batch steps on the compact
-    columns of ``_step_plan``; a recorded state goes into Z and TH on its
-    masks.
+    are frozen at their last valid state.  ``_bind``'s calls step the batch
+    on compact columns; a recorded state goes into Z and TH on its masks.
     """
     paths, steps, dim = increments.shape
     _check_brownian_dim(len(system.diffusion), dim)
@@ -381,6 +409,8 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
         f for pair in system.diffusion for f in pair)], z0, th0)
     nz = plan.zsup.size
     S = W[:, :nz + plan.tsup.size]
+    calls, term = _bind(plan, W), np.empty_like(S)
+    D = np.hsplit(W[:, plan.out], dim + 1)  # views: the drift, each dB's row
     Z = np.zeros((paths, steps + 1 if history else 1, z0.shape[-1]), complex)
     TH = np.zeros_like(Z)
 
@@ -405,13 +435,13 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
                     quiet = partial(np.errstate, divide="ignore",
                                     invalid="ignore")
         with quiet():
-            D = _derivative(plan, W)
+            for call in calls:
+                call()
             new = S if active is None else S.copy()
-            new += dt * D[:, 0]
-            for inc in (increments[:, k, :, None] * D[:, 1:]).swapaxes(0, 1):
-                new += inc
+            for h, row in zip((dt, *increments[:, k].T[..., None]), D):
+                new += np.multiply(h, row, out=term)
         if active is not None:
-            S[...] = np.where(active[:, None], new, S)
+            np.copyto(S, new, where=active[:, None])
         if history:
             record(slice(k + 1, k + 2))
     record(slice(-1, None))

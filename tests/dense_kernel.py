@@ -4,6 +4,8 @@ generators, the product on it and the Neumann inverse of a batch.
 ``supersle.kernel`` builds each product's table from its factors' live
 masks; these are the reference that the restricted products, the closed
 forms and the Euler step program are checked against, bit for bit.
+``op_by_op`` runs a step program one op at a time, the reference for the
+calls that ``supersle.sde._bind`` makes once per integration.
 """
 
 from functools import cache
@@ -76,3 +78,10 @@ def sliced_restrict(n: int, lsup, rsup):
     dst = k[keep]
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
     return dst[starts], left[keep], right[keep], signs[keep], starts
+
+
+def op_by_op(plan, W: np.ndarray) -> None:
+    """Every op of the step program ``plan`` on W, in order, each on column
+    views and gathers made again: f(*W[:, args], out=W[:, out])."""
+    for f, args, out in plan.ops:
+        f(*[W[:, a] for a in args], out=W[:, out])

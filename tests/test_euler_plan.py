@@ -5,7 +5,8 @@ copies of the Euler step before it was restricted to the reachable masks:
 every state product runs through the whole pair table, every constant times
 a z power through a signed gather over all masks, and swallowed paths are frozen by ``np.where`` at every step.  The
 restricted step must give the same Z and TH down to the raw bits, signed
-zeros included.
+zeros included.  The calls ``sde._bind`` makes once per integration must
+leave the work array as ``dense_kernel.op_by_op`` does, bit for bit.
 """
 
 import tracemalloc
@@ -16,12 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_kernel import _binv, _bmul
+from dense_kernel import _binv, _bmul, op_by_op
+from supersle import sde as sde_module
 from supersle.cli import _initial_point
 from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
 from supersle.kernel import _gvec, _restrict, _tmul
 from supersle.sde import (
     BrownianPath,
+    _bind,
+    _derivative,
     _em_core,
     _point_vectors,
     _step_plan,
@@ -38,6 +42,7 @@ from supersle.walk import (
     spec_32alt,
     spec_virasoro,
 )
+from test_sde import superfunction_case
 
 SWALLOW_EPS = 1e-6
 
@@ -233,6 +238,73 @@ def test_plan_op_count(name, count):
     plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
     assert len(plan.ops) == count
     assert all(out.stop > out.start for _f, _args, out in plan.ops)
+
+
+def assert_bound_calls_match_op_by_op(plan, W, seed):
+    """From the batch's own state, then random states, the same with -0.0
+    real and imaginary parts, and with a row of zero body: the calls of
+    ``_bind`` leave every column of W with the bits of the op-by-op run."""
+    rng = np.random.default_rng(seed)
+    ncols = plan.zsup.size + plan.tsup.size
+    for fill in ("batch", "random", "signed zeros", "zero body"):
+        if fill != "batch":
+            S = rng.normal(size=(len(W), ncols, 2))
+            if fill != "random":
+                S[rng.random(S.shape) < 0.3] = -0.0
+            S[:, 0, 0] = 2.0 + 0.1 * rng.normal(size=len(W))  # Re body
+            if fill == "zero body":
+                S[-1, 0] = (0.0, -0.0)
+            W[:, :ncols] = S.view(complex)[..., 0]
+        ref = W.copy(order="F")
+        quiet = "ignore" if fill == "zero body" else "raise"
+        with np.errstate(divide=quiet, over=quiet, invalid=quiet):
+            op_by_op(plan, ref)
+            _derivative(plan, W)
+        assert np.array_equal(bits(W), bits(ref))
+
+
+@pytest.mark.parametrize("width", [1, 2, 200])
+@pytest.mark.parametrize("name", list(CASES))
+def test_bound_calls_match_op_by_op(name, width):
+    system, init, dim = CASES[name]
+    z0, th0, _inc = batch(init, width, dim, 1, 1e-2, 19)
+    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+    assert_bound_calls_match_op_by_op(*_step_plan(fns, z0, th0), width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 200])
+@pytest.mark.parametrize("n", range(9))
+def test_bound_laurent_calls_match_op_by_op(n, width):
+    fns, _points, Z, TH = superfunction_case(n)
+    Z, TH = (np.resize(X, (width, X.shape[1])) for X in (Z, TH))
+    assert_bound_calls_match_op_by_op(*_step_plan(fns, Z, TH), n)
+
+
+@pytest.mark.parametrize("name, tmul, gathers", [
+    ("32", 1, 1), ("32alt", 0, 1), ("virasoro", 0, 0), ("walk7", 1, 1)])
+def test_bound_calls_gather_little(name, tmul, gathers):
+    # a product of one triple per group is a multiply of views, and an op on
+    # at most three runs of columns, a sum's +0 terms left out, one call per
+    # run: only the two-triple groups of spec 32's soul square and walk7's
+    # product still run _tmul, and only a function block of more runs
+    # gathers its columns at every call
+    system, init, _dim = CASES[name]
+    fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+    calls = _bind(*_step_plan(fns, *(v[None, :]
+                                     for v in _point_vectors(init))))
+    assert sum(isinstance(c, partial) and c.func is _tmul
+               for c in calls) == tmul
+    assert sum(not isinstance(c, partial) for c in calls) == gathers
+
+
+def test_em_core_binds_once(monkeypatch):
+    binds = []
+    bind = sde_module._bind
+    monkeypatch.setattr(sde_module, "_bind",
+                        lambda plan, W: binds.append(1) or bind(plan, W))
+    system, init, dim = CASES["32"]
+    euler_maruyama(system, init, BrownianPath.sample(dim, 1e-3, 1000, 1))
+    assert len(binds) == 1
 
 
 @pytest.mark.parametrize("increment", [-0.0, 0.0])

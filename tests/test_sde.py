@@ -393,35 +393,44 @@ def function_values(plan, D, count, n):
     return values
 
 
+def superfunction_case(n):
+    """Six Laurent superfunctions on n generators, exponents -3..2, one of
+    them zero and one with no a part, and four points (z with a soul);
+    returns the functions, the points and their (4, 2^n) Z and TH."""
+    rng = np.random.default_rng(200 + n)
+    masks = np.arange(1 << n)
+    even = masks[[bin(m).count("1") % 2 == 0 for m in masks]][1:]
+    odd = masks[[bin(m).count("1") % 2 == 1 for m in masks]]
+
+    def part():
+        exps = rng.choice(np.arange(-3, 3), size=rng.integers(1, 4),
+                          replace=False)
+        return {int(k): random_grassmann(rng, n, masks, 3) for k in exps}
+
+    fns = [LaurentSuperfunction(part(), part()) for _ in range(3)]
+    fns += [LaurentSuperfunction(), LaurentSuperfunction({}, part()),
+            LaurentSuperfunction({-3: random_grassmann(rng, n, masks, 2),
+                                  2: random_grassmann(rng, n, masks, 2)})]
+    points = []
+    for _ in range(4):
+        z = GrassmannNumber.scalar(complex(1.5, rng.normal()), n, FLOAT)
+        if len(even):
+            z = z + 0.5 * random_grassmann(rng, n, even, 3)
+        th = (random_grassmann(rng, n, odd, 3) if len(odd)
+              else GrassmannNumber.zero(n, FLOAT))
+        points.append(SuperPoint(z, th))
+    Z = np.array([[complex(p.z.coefficient(m)) for m in masks]
+                  for p in points])
+    TH = np.array([[complex(p.theta.coefficient(m)) for m in masks]
+                   for p in points])
+    return fns, points, Z, TH
+
+
 class TestCoefficientTable:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_superfunction_eval(self, n):
-        rng = np.random.default_rng(200 + n)
+        fns, points, Z, TH = superfunction_case(n)
         masks = np.arange(1 << n)
-        even = masks[[bin(m).count("1") % 2 == 0 for m in masks]][1:]
-        odd = masks[[bin(m).count("1") % 2 == 1 for m in masks]]
-
-        def part():
-            exps = rng.choice(np.arange(-3, 3), size=rng.integers(1, 4),
-                              replace=False)
-            return {int(k): random_grassmann(rng, n, masks, 3) for k in exps}
-
-        fns = [LaurentSuperfunction(part(), part()) for _ in range(3)]
-        fns += [LaurentSuperfunction(), LaurentSuperfunction({}, part()),
-                LaurentSuperfunction({-3: random_grassmann(rng, n, masks, 2),
-                                      2: random_grassmann(rng, n, masks, 2)})]
-        points = []
-        for _ in range(4):
-            z = GrassmannNumber.scalar(complex(1.5, rng.normal()), n, FLOAT)
-            if len(even):
-                z = z + 0.5 * random_grassmann(rng, n, even, 3)
-            th = (random_grassmann(rng, n, odd, 3) if len(odd)
-                  else GrassmannNumber.zero(n, FLOAT))
-            points.append(SuperPoint(z, th))
-        Z = np.array([[complex(p.z.coefficient(m)) for m in masks]
-                      for p in points])
-        TH = np.array([[complex(p.theta.coefficient(m)) for m in masks]
-                       for p in points])
         assert max(k for F in fns for k in (*F.a, *F.b)) == 2
         plan, W = _step_plan(fns, Z, TH)
         assert plan.lo == -3
