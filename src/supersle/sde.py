@@ -357,24 +357,31 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
     return _StepPlan(zsup, tsup, lo, ops, out), W
 
 
+def _as_multiply(f, args):
+    """A one-triple ``_tmul`` op as np.multiply and its signs, or the op."""
+    if getattr(f, "func", None) is _tmul:
+        _dst, left, right, signs, starts = f.args[0]
+        if starts is None:  # one triple per group
+            return np.multiply, (left, right), signs
+    return f, args, None
+
+
 def _bind(plan: _StepPlan, W: np.ndarray) -> list:
-    """``plan.ops`` as calls on views of W made once.  A one-triple product
-    is a multiply, then its signs; an op on at most three runs of columns
-    is a call per run, a sum's +0 terms left out (W starts at +0)."""
+    """``plan.ops`` as calls on views of W made once: a one-triple product a
+    multiply and its signs, an op on at most three column runs (a gather
+    beats more, ``BENCH_31.json``) a call per run, a sum's +0 terms out."""
     calls, zero = [], plan.zsup.size + plan.tsup.size  # the +0 column
     for f, args, out in plan.ops:
-        o, signs = W[:, out], None
-        if getattr(f, "func", None) is _tmul and f.args[0][4] is None:
-            f, args, signs = np.multiply, f.args[0][1:3], f.args[0][3]
+        o, (f, args, signs) = W[:, out], _as_multiply(f, args)
         if all(isinstance(a, slice) for a in args):
             calls.append(partial(f, *[W[:, a] for a in args], out=o))
         else:  # rows: each position in out, then each argument's column
             runs = np.array([range(o.shape[1]), *(np.r_[a] for a in args)])
             if getattr(f, "func", f) is np.add:
-                runs = runs[:, runs[-1] != zero]
+                runs = runs[:, runs[-1] != zero]  # W starts at +0
             runs = [r for r in np.split(runs, 1 + np.flatnonzero(
                 (np.diff(runs) != 1).any(axis=0)), axis=1) if r.size]
-            if len(runs) > 3:  # scattered columns are gathered at every call
+            if len(runs) > 3:
                 calls.append(lambda f=f, a=args, o=o: f(
                     *[W[:, c] for c in a], out=o))
             else:
@@ -384,13 +391,6 @@ def _bind(plan: _StepPlan, W: np.ndarray) -> list:
         if signs is not None:
             calls.append(partial(np.multiply, o, signs, out=o))
     return calls
-
-
-def _derivative(plan: _StepPlan, W: np.ndarray) -> np.ndarray:
-    """Every function at the state in W, shape (paths, rows, ncols)."""
-    for call in _bind(plan, W):
-        call()
-    return W[:, plan.out].reshape(len(W), -1, plan.zsup.size + plan.tsup.size)
 
 
 def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,

@@ -5,7 +5,8 @@ generators, the product on it and the Neumann inverse of a batch.
 masks; these are the reference that the restricted products, the closed
 forms and the Euler step program are checked against, bit for bit.
 ``op_by_op`` runs a step program one op at a time, the reference for the
-calls that ``supersle.sde._bind`` makes once per integration.
+calls that ``supersle.sde._bind`` makes once per integration;
+``_derivative`` runs those bound calls once.
 """
 
 from functools import cache
@@ -14,6 +15,7 @@ import numpy as np
 
 from supersle.grassmann import NotInvertible, _merge_sign
 from supersle.kernel import _tmul
+from supersle.sde import _bind
 
 
 @cache
@@ -85,3 +87,11 @@ def op_by_op(plan, W: np.ndarray) -> None:
     views and gathers made again: f(*W[:, args], out=W[:, out])."""
     for f, args, out in plan.ops:
         f(*[W[:, a] for a in args], out=W[:, out])
+
+
+def _derivative(plan, W: np.ndarray) -> np.ndarray:
+    """Every function at the state in W by one run of the calls ``_bind``
+    makes for ``plan.ops``, shape (paths, rows, ncols)."""
+    for call in _bind(plan, W):
+        call()
+    return W[:, plan.out].reshape(len(W), -1, plan.zsup.size + plan.tsup.size)

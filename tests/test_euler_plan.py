@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_kernel import _binv, _bmul, op_by_op
+from dense_kernel import _binv, _bmul, _derivative, op_by_op
 from supersle import sde as sde_module
 from supersle.cli import _initial_point
 from supersle.grassmann import FLOAT, GrassmannNumber, make_generator
@@ -25,7 +25,6 @@ from supersle.kernel import _gvec, _restrict, _tmul
 from supersle.sde import (
     BrownianPath,
     _bind,
-    _derivative,
     _em_core,
     _point_vectors,
     _step_plan,

@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from dense_kernel import _binv, _bmul, sliced_restrict
+from dense_kernel import _binv, _bmul, _derivative, sliced_restrict
 from supersle import kernel
 from supersle import sde as sde_module
 from supersle.cli import MAX_CUTOFF, _initial_point, main
@@ -59,7 +59,6 @@ from supersle.sde import (
     write_json_report,
     write_pgm,
     write_superpath_csv,
-    _derivative,
     _step_plan,
     _fill_hull,
     _path_seeds,
@@ -455,10 +454,11 @@ class TestCoefficientTable:
         assert 0 < len(calls) <= count + 2
 
     def test_constant_coefficients_skip_pair_table(self, monkeypatch):
-        # per step: the Neumann power of the soul of z, two theta b(z)
-        # products and the constant c times z^-1, both factors read from the
-        # work array (a constant's from its columns, its signs folded in);
-        # the package has no product over the whole pair table at all
+        # per step, one _tmul call: the Neumann power of the soul of z, two
+        # triples on one mask; the theta b(z) products and the constant c
+        # times z^-1, one triple per group, are multiplies of work-array
+        # views bound once (a constant's from its columns, its signs folded
+        # in); the package has no product over the whole pair table at all
         calls = []
         tmul = sde_module._tmul
 
@@ -474,7 +474,7 @@ class TestCoefficientTable:
         steps = 1000
         euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
                        BrownianPath.sample(1, 1e-3, steps, 1))
-        assert len(calls) <= 4 * steps + 10
+        assert len(calls) <= steps + 10
 
     def test_inverse_chain_builds_no_zero_power(self, monkeypatch):
         # the Neumann chain ends with a table whose product is empty: the
