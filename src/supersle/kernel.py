@@ -92,18 +92,16 @@ def _tmul(table, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
 
     A and B may differ in leading shape; the product takes the shape of the
     table's sums.  With ``out``, the sums are written there in dst order
-    instead, left and right index the last axes of A and B, signs may be
-    None for all +1, and starts None when every group is one triple.
+    instead, left and right index the last axes of A and B, and signs may
+    be None for all +1.
     """
     dst, left, right, signs, starts = table
-    direct = out if starts is None else None  # the terms are the sums
-    terms = np.multiply(A[..., left], B[..., right],
-                        out=direct if signs is None else None)
+    terms = np.multiply(A[..., left], B[..., right])
     if signs is not None:
-        terms = np.multiply(terms, signs, out=direct)
+        terms = np.multiply(terms, signs)
     if out is None:
         out = np.zeros(terms.shape[:-1] + A.shape[-1:], dtype=complex)
         out[..., dst] = np.add.reduceat(terms, starts, axis=-1)
-    elif direct is None:
+    else:
         np.add.reduceat(terms, starts, axis=-1, out=out)
     return out

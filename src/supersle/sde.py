@@ -241,10 +241,11 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
 
     z, with its body, and theta keep the masks where some path is non-zero,
     grown to the fixed point of one step.  A register is (mask -> column
-    map, columns, masks).  Every product is one ``_tmul`` of work-array
-    columns, of one shape at every batch width, on its factors' live masks:
-    a constant's signs are in its columns.  A shared product runs once;
-    every value is +0 plus its terms in the dense order.
+    map, columns, masks).  Every product runs on work-array columns, of one
+    shape at every batch width, on its factors' live masks: a multiply and
+    its signs where each group is one triple, else one ``_tmul``; a
+    constant's signs are in its columns.  A shared product runs once; every
+    value is +0 plus its terms in the dense order.
     """
     n = z0.shape[-1].bit_length() - 1
     coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
@@ -277,14 +278,19 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
 
     def product(table, left, right):  # each factor a map, or a constant
         dst, lm, rm, signs, starts = table
-        starts = None if starts.size == lm.size else starts
         factors = [left[lm], right[rm]]
         for i, f in enumerate(factors):
             if f.dtype.kind == "c":  # a constant: its columns take the signs
                 factors[i] = np.array([column(v) for v in f * signs], dtype=int)
                 signs = np.abs(signs)
-        return op(partial(_tmul, (dst, *factors, None if (signs > 0).all()
-                                  else signs, starts)), (slice(None),) * 2, dst)
+        signs = None if (signs > 0).all() else signs
+        if starts.size < lm.size:
+            return op(partial(_tmul, (dst, *factors, signs, starts)),
+                      (slice(None),) * 2, dst)
+        reg = op(np.multiply, factors, dst)  # one triple per group
+        if signs is not None:
+            ops.append((partial(np.multiply, signs), (reg[1],), reg[1]))
+        return reg
 
     def terms(part, sums):  # sums[mask] += [coefficient or column]
         for k, c in part:
@@ -357,22 +363,13 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
     return _StepPlan(zsup, tsup, lo, ops, out), W
 
 
-def _as_multiply(f, args):
-    """A one-triple ``_tmul`` op as np.multiply and its signs, or the op."""
-    if getattr(f, "func", None) is _tmul:
-        _dst, left, right, signs, starts = f.args[0]
-        if starts is None:  # one triple per group
-            return np.multiply, (left, right), signs
-    return f, args, None
-
-
 def _bind(plan: _StepPlan, W: np.ndarray) -> list:
-    """``plan.ops`` as calls on views of W made once: a one-triple product a
-    multiply and its signs, an op on at most three column runs (a gather
-    beats more, ``BENCH_31.json``) a call per run, a sum's +0 terms out."""
+    """``plan.ops`` as calls on views of W made once: an op on at most three
+    column runs (a gather beats more, ``BENCH_31.json``) a call per run, a
+    sum's +0 terms out."""
     calls, zero = [], plan.zsup.size + plan.tsup.size  # the +0 column
     for f, args, out in plan.ops:
-        o, (f, args, signs) = W[:, out], _as_multiply(f, args)
+        o = W[:, out]
         if all(isinstance(a, slice) for a in args):
             calls.append(partial(f, *[W[:, a] for a in args], out=o))
         else:  # rows: each position in out, then each argument's column
@@ -388,8 +385,6 @@ def _bind(plan: _StepPlan, W: np.ndarray) -> list:
                 for (p, *c), n in ((r[:, 0], r.shape[1]) for r in runs):
                     calls.append(partial(f, *[W[:, i:i + n] for i in c],
                                          out=o[:, p:p + n]))
-        if signs is not None:
-            calls.append(partial(np.multiply, o, signs, out=o))
     return calls
 
 
@@ -489,7 +484,8 @@ def _spec32_units(kappa: float, n: int):
 
 def _cf32_core(z0: np.ndarray, th0: np.ndarray, kappa: float, t, B):
     """Closed form of the one-Brownian evolution at times t and driving
-    values B, each a scalar or a (steps+1, 1) column; returns (Z, TH)."""
+    values B, each a scalar or a column: B of the times along one path, or
+    of the terminal values across paths.  Returns (Z, TH)."""
     if abs(z0[0]) == 0.0:
         raise NotInvertible("initial z must have non-zero body")
     sk, y, eta, yeta = _spec32_units(kappa, z0.shape[-1].bit_length() - 1)
@@ -642,20 +638,26 @@ _ERROR_FLOOR = 1e-12
 _REFINE = 10
 
 
-def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
-                         T: float, dt_list, n_paths: int, seed) -> dict:
+def pathwise_convergence(system: SdeSystem, path_data, closed_form,
+                         init: SuperPoint, T: float, dt_list, n_paths: int,
+                         seed) -> dict:
     """Strong-error table of explicit Euler against a closed-form solution.
 
-    ``closed_form(z0_vec, th0_vec, path)`` must return the terminal state
-    pair for one driving path.  Brownian paths are sampled once on a grid
-    ten times finer than the smallest dt; the reference solution is
-    evaluated there and each Euler run uses the aggregated increments of the
-    same underlying path, so the table isolates discretization error.
+    Brownian paths are sampled once on a grid ten times finer than the
+    smallest dt, and each Euler run uses the aggregated increments of the
+    same underlying path, so the table isolates discretization error.  The
+    reference has two parts: ``path_data(z0_vec, th0_vec, path)`` returns
+    the tuple of arrays the closed form reads from one fine path, and
+    ``closed_form(z0_vec, th0_vec, t, *data)``, given each stacked over the
+    paths on a last axis and t the fine grid's horizon, returns the terminal
+    (Z, TH) of all paths, shape (n_paths, 2^n).
 
     When every error sits at the rounding floor the scheme is exact for the
     system (graded coefficients constant along paths); the empirical order
     is then reported as infinity.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     dt_list = sorted(float(d) for d in dt_list)
     if len(set(dt_list)) < 2:
         raise ValueError("the dt ladder needs at least two distinct values")
@@ -668,16 +670,17 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
                              "reference dt and divide the horizon")
     dim = len(system.diffusion)
     z0, th0 = _point_vectors(init)
-    ref_z = np.empty((n_paths, z0.size), dtype=complex)
-    ref_th = np.empty((n_paths, z0.size), dtype=complex)
     dts = sorted(dt_list, reverse=True)
     ks = [round(d / dt_ref) for d in dts]
     incs = [np.empty((n_paths, steps_ref // k, dim)) for k in ks]
+    data = []
     for p, path_seed in enumerate(_path_seeds(seed, n_paths)):
         bp = BrownianPath.sample(dim, dt_ref, steps_ref, path_seed)
-        ref_z[p], ref_th[p] = closed_form(z0, th0, bp)
+        data.append(path_data(z0, th0, bp))
         for k, inc in zip(ks, incs):
             inc[p] = bp.coarsen(k).increments.T
+    ref_z, ref_th = closed_form(z0, th0, dt_ref * steps_ref, *(
+        np.stack(d, axis=-1) for d in zip(*data)))
     errors = []
     for d, inc in zip(dts, incs):
         steps = inc.shape[1]
@@ -701,27 +704,26 @@ def pathwise_convergence(system: SdeSystem, closed_form, init: SuperPoint,
 
 def convergence_32(kappa, init: SuperPoint, T: float, dt_list, n_paths: int,
                    seed) -> dict:
-    system = sde_system(spec_32(kappa, FLOAT))
-
-    def cf(z0, th0, bp):
-        return _cf32_core(z0, th0, float(kappa), bp.dt * bp.steps,
-                          bp.values[0, -1])
-
-    return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed)
+    return pathwise_convergence(
+        sde_system(spec_32(kappa, FLOAT)),
+        lambda z0, th0, bp: (bp.values[0, -1],),  # B at T
+        lambda z0, th0, t, B: _cf32_core(z0, th0, float(kappa), t, B[:, None]),
+        init, T, dt_list, n_paths, seed)
 
 
 def convergence_32alt(kappa, init: SuperPoint, T: float, dt_list,
                       n_paths: int, seed) -> dict:
-    system = sde_system(spec_32alt(kappa, FLOAT))
-
-    def cf(z0, th0, bp):
+    def path_data(z0, th0, bp):  # B+ at T and the integrals of the P_k
         B1, B2 = bp.values
-        powers, P = _cf32alt_series(z0, float(kappa), B1, B2)
-        J = bp.dt * np.sum(P[:, :-1], axis=1)
-        return _cf32alt_state(z0, th0, float(kappa), B1[-1], B2[-1], powers,
-                              J)
+        _powers, P = _cf32alt_series(z0, float(kappa), B1, B2)
+        return B1[-1], B2[-1], bp.dt * np.sum(P[:, :-1], axis=1)
 
-    return pathwise_convergence(system, cf, init, T, dt_list, n_paths, seed)
+    return pathwise_convergence(
+        sde_system(spec_32alt(kappa, FLOAT)), path_data,
+        lambda z0, th0, t, B1, B2, J: _cf32alt_state(  # (-s)^k: z0's alone
+            z0, th0, float(kappa), B1, B2,
+            _inverse_body_powers(z0, z0[0])[0], J),
+        init, T, dt_list, n_paths, seed)
 
 
 # -- Monte-Carlo martingale check ---------------------------------------------------

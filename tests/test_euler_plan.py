@@ -222,17 +222,27 @@ def test_plan_shape(name, width, triples):
     system, init, _dim = CASES[name]
     fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
     plan, W = _step_plan(fns, *(v[None, :] for v in _point_vectors(init)))
-    tables = [f.args[0] for f, _args, _out in plan.ops
-              if isinstance(f, partial) and f.func is _tmul]
     assert W.shape[1] == width
-    assert sum(table[1].size for table in tables) == triples
+    assert sum(product_triples(f, args)
+               for f, args, _out in plan.ops) == triples
+
+
+def product_triples(f, args):
+    """The triples an op multiplies: a ``_tmul``'s table, or the column
+    pairs of a product of one triple per group; 0 for any other op."""
+    if isinstance(f, partial) and f.func is _tmul:
+        return f.args[0][1].size
+    return len(args[0]) if f is np.multiply and isinstance(
+        args[0], np.ndarray) else 0
 
 
 @pytest.mark.parametrize("name, count", [
-    ("32", 13), ("32alt", 9), ("virasoro", 6)])
+    ("32", 14), ("32alt", 10), ("virasoro", 6)])
 def test_plan_op_count(name, count):
     # no op writes an empty register: virasoro's z has no soul to negate and
-    # its theta no mask to multiply b(z) by
+    # its theta no mask to multiply b(z) by; a product of one triple per
+    # group is a multiply, then a sign multiply when a sign is -1 (theta
+    # times b(z) in 32 and 32alt)
     system, init, _dim = CASES[name]
     plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
     assert len(plan.ops) == count

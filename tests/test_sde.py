@@ -109,10 +109,20 @@ def closed_form_32alt_binv(z0, th0, path, kappa):
 
 
 def convergence_32alt_reference(monkeypatch, kappa):
-    """The terminal closed form that ``convergence_32alt`` compares with."""
+    """The terminal closed form that ``convergence_32alt`` compares with,
+    as a function of one path: its data, then the closed form of a batch of
+    one."""
     monkeypatch.setattr(sde_module, "pathwise_convergence",
-                        lambda system, closed_form, *args: closed_form)
-    return convergence_32alt(kappa, init_32alt(), 0.1, [1e-2, 1e-3], 1, 0)
+                        lambda system, *reference_and_args: reference_and_args)
+    path_data, closed_form, *_ = convergence_32alt(
+        kappa, init_32alt(), 0.1, [1e-2, 1e-3], 1, 0)
+
+    def reference(z0, th0, path):
+        data = (np.stack([d], axis=-1) for d in path_data(z0, th0, path))
+        Z, TH = closed_form(z0, th0, path.dt * path.steps, *data)
+        return Z[0], TH[0]
+
+    return reference
 
 
 def koszul_sign(m, mu):
@@ -500,24 +510,30 @@ class TestCoefficientTable:
         written = set(range(nz + plan.tsup.size)).union(
             *(range(o.start, o.stop) for _, _, o in plan.ops))
 
-        def times_c(f):  # a product whose left factor reads constant columns
-            return isinstance(f, partial) and f.func is _tmul \
-                and not written & set(f.args[0][1].tolist())
+        def multiply(args):  # a product of one triple per group
+            return not isinstance(args[0], slice)
+
+        def times_c(f, args):  # a product whose left factor reads constants
+            return f is np.multiply and multiply(args) \
+                and not written & set(args[0].tolist())
 
         runs = []
         ops = [(partial(lambda f, *a, out: runs.append(1) or f(*a, out=out),
                         f), args, out)
-               if times_c(f) else (f, args, out) for f, args, out in plan.ops]
-        (out,) = [out for f, args, out in plan.ops if times_c(f)]
+               if times_c(f, args) else (f, args, out)
+               for f, args, out in plan.ops]
+        (out,) = [out for f, args, out in plan.ops if times_c(f, args)]
         counted = plan._replace(ops=ops)
         for _ in range(5):
             D = _derivative(counted, W)
         assert len(runs) == 5
         columns = set(range(out.start, out.stop))
-        (theta_b,) = [f.args[0] for f, args, _ in plan.ops
-                      if isinstance(f, partial) and f.func is _tmul
-                      and set(f.args[0][2].tolist()) <= columns]
-        assert theta_b[0].tolist() == [15]  # theta p3 times c z^-1 on p0p1p2
+        (theta_b,) = [args for f, args, _ in plan.ops if f is np.multiply
+                      and multiply(args) and set(args[1].tolist()) <= columns]
+        # theta's p3 column times the one column of c z^-1, on p0p1p2: the
+        # mask 15 term of theta b(z)
+        assert theta_b[0].tolist() == [nz + plan.tsup.tolist().index(8)]
+        assert columns == {theta_b[1][0]}
         first = [args[0] for f, args, o in plan.ops if o == plan.out][0]
         assert first[nz + plan.tsup.tolist().index(7)] in columns
         values = function_values(plan, D, len(fns), 4)
@@ -766,24 +782,27 @@ class TestConvergence:
 
         zero = GrassmannNumber.zero(4, FLOAT)
         spec = WalkSpec(1, {}, ({-1: (zero, zero)},))
-
-        def cf(z0, th0, bp):
-            return z0, th0
-
-        rep = pathwise_convergence(sde_system(spec), cf, init_32(), 0.1,
-                                   [1e-2, 1e-3], 5, 1)
+        rep = pathwise_convergence(sde_system(spec), *initial_state_reference(),
+                                   init_32(), 0.1, [1e-2, 1e-3], 5, 1)
         assert all(e == 0.0 for e in rep["mean_error"])
         assert rep["exact_scheme"]
 
     def test_init_with_too_few_generators(self):
         from supersle.sde import pathwise_convergence
 
-        def cf(z0, th0, bp):
-            return z0, th0
-
         with pytest.raises(ValueError, match="have 4 .* only 2"):
-            pathwise_convergence(sde_system(spec_32(2.0, FLOAT)), cf,
-                                 init_32alt(), 0.1, [1e-2, 1e-3], 2, 1)
+            pathwise_convergence(sde_system(spec_32(2.0, FLOAT)),
+                                 *initial_state_reference(), init_32alt(),
+                                 0.1, [1e-2, 1e-3], 2, 1)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    @pytest.mark.parametrize("study, init", [(convergence_32, init_32),
+                                             (convergence_32alt, init_32alt)])
+    def test_no_paths_refused(self, monkeypatch, study, init, n_paths):
+        # refused before any path is sampled, as mc_martingale refuses it
+        monkeypatch.setattr(sde_module, "_path_seeds", None)
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            study(2.0, init(), 0.1, (1e-2, 1e-3), n_paths, 1)
 
     def test_32_exact_scheme(self):
         rep = convergence_32(2.0, init_32(), 0.2, [1e-2, 1e-3], 10, 3)
@@ -802,6 +821,12 @@ class TestConvergence:
         errs = rep["mean_error"]
         assert errs[1] < errs[0]
         assert rep["order"] >= 0.4
+
+
+def initial_state_reference():
+    """The (path data, closed form) pair of ``pathwise_convergence`` whose
+    terminal state is the initial point on every path."""
+    return (lambda z0, th0, bp: ()), (lambda z0, th0, t: (z0, th0))
 
 
 def kron_matrix(element, words, masks, module):
@@ -2006,15 +2031,79 @@ class TestClosedForm32Unbatched:
     @pytest.mark.parametrize("init", [init_32(), init_soul_32(),
                                       init_soul_32(5)])
     def test_convergence_reference(self, init, kappa):
-        def batched(z0, th0, bp):
-            Z, TH = batched_cf32_core(z0, th0, kappa,
-                                      np.array([bp.dt * bp.steps]),
-                                      np.array([[bp.values[0, -1]]]))
-            return Z[0, 0], TH[0, 0]
+        def batched(z0, th0, t, B):  # B: the terminal value of every path
+            Z, TH = batched_cf32_core(z0, th0, kappa, np.array([t]),
+                                      B[:, None])
+            return Z[:, 0], TH[:, 0]
 
         for seed in range(3):
             want = sde_module.pathwise_convergence(
-                sde_system(spec_32(kappa, FLOAT)), batched, init, 0.1,
+                sde_system(spec_32(kappa, FLOAT)),
+                lambda z0, th0, bp: (bp.values[0, -1],), batched, init, 0.1,
                 [1e-2, 1e-3], 12, seed)
             assert convergence_32(kappa, init, 0.1, [1e-2, 1e-3], 12,
                                   seed) == want
+
+
+def per_path_reference(kappa, spec):
+    """The convergence reference as it was before it was batched: each
+    path's terminal closed form, evaluated while its fine path is in
+    memory, is that path's data, and the batched part only unstacks it."""
+    kappa = float(kappa)
+
+    def terminal_32(z0, th0, bp):
+        return sde_module._cf32_core(z0, th0, kappa, bp.dt * bp.steps,
+                                     bp.values[0, -1])
+
+    def terminal_32alt(z0, th0, bp):
+        B1, B2 = bp.values
+        powers, P = sde_module._cf32alt_series(z0, kappa, B1, B2)
+        J = bp.dt * np.sum(P[:, :-1], axis=1)
+        return sde_module._cf32alt_state(z0, th0, kappa, B1[-1], B2[-1],
+                                         powers, J)
+
+    terminal = {"32": terminal_32, "32alt": terminal_32alt}[spec]
+    return terminal, lambda z0, th0, t, Z, TH: (Z.T, TH.T)
+
+
+def soul_32alt(n):
+    """A complex body and a soul on mask 3: two soul-series terms on two
+    generators; on four, a soul on mask 12 too, and theta on p1 so that the
+    soul of the integral reaches z."""
+    z = {0: complex(1.3, 0.4), 3: 0.7}
+    if n > 2:
+        z[12] = -0.5j
+    return SuperPoint(GrassmannNumber(n, FLOAT, z), make_generator(1, n, FLOAT))
+
+
+class TestBatchedConvergenceReference:
+    """The terminal closed form evaluated once for all paths gives the
+    references and reports of the per-path evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("ladder", [(1e-2, 1e-3), (1e-2, 5e-3, 1e-3)])
+    @pytest.mark.parametrize("width", [1, 2, 12])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("spec, init", [
+        ("32", init_soul_32(4)), ("32", init_soul_32(5)),
+        ("32alt", soul_32alt(2)), ("32alt", soul_32alt(4))],
+        ids=["32-n4", "32-n5", "32alt-n2", "32alt-n4"])
+    def test_reports_match_per_path(self, monkeypatch, spec, init, kappa,
+                                    width, ladder):
+        study = {"32": convergence_32, "32alt": convergence_32alt}[spec]
+        system = sde_system((spec_32 if spec == "32" else spec_32alt)(
+            kappa, FLOAT))
+        run, references = sde_module.pathwise_convergence, []
+
+        def recorded(system, path_data, closed_form, *args):
+            return run(system, path_data, lambda *a: references.append(
+                closed_form(*a)) or references[-1], *args)
+
+        monkeypatch.setattr(sde_module, "pathwise_convergence", recorded)
+        for seed in range(5):
+            want = recorded(system, *per_path_reference(kappa, spec), init,
+                            0.02, ladder, width, seed)
+            assert study(kappa, init, 0.02, ladder, width, seed) == want
+            (wz, wth), (gz, gth) = references[-2:]
+            assert gz.shape == (width, 1 << init.z.n)
+            assert np.array_equal(bits(gz), bits(wz))
+            assert np.array_equal(bits(gth), bits(wth))
