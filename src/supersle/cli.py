@@ -119,7 +119,7 @@ def _steps_for(T: float, dt: float) -> int:
     if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T <= 0:
         raise UsageError(f"need finite dt > 0 and T > 0, got dt={dt} T={T}")
     steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+    if steps < 1 or abs(steps * dt - T) > 1e-9 * T:  # 0 steps: an empty run
         raise UsageError(f"dt={dt} does not divide T={T}")
     return steps
 

@@ -168,10 +168,6 @@ class GrassmannNumber:
         """Coefficient of the empty monomial."""
         return self.coefficient(0)
 
-    def soul(self) -> "GrassmannNumber":
-        return GrassmannNumber(self.n, self.ring,
-                               {m: c for m, c in self.terms.items() if m})
-
     def parity(self) -> str:
         has_even = any(m.bit_count() % 2 == 0 for m in self.terms)
         has_odd = any(m.bit_count() % 2 == 1 for m in self.terms)
@@ -192,24 +188,6 @@ class GrassmannNumber:
 
     def coefficient(self, mask: int):
         return self.terms[mask] if mask in self.terms else self.ring.coerce(0)
-
-    # -- inverse ----------------------------------------------------------
-
-    def inverse(self) -> "GrassmannNumber":
-        b = self.body()
-        if b == 0:
-            raise NotInvertible("element has vanishing body")
-        binv = 1 / b  # Integer(1) / b exactly, or 1.0 / b in floats
-        # terminating Neumann series: (b + s)^-1 = b^-1 sum_k (-s/b)^k
-        x = self.soul() * (-binv)
-        out = GrassmannNumber.scalar(1, self.n, self.ring)
-        power = GrassmannNumber.scalar(1, self.n, self.ring)
-        for _ in range(self.n):
-            power = power * x
-            if power.is_zero():
-                break
-            out = out + power
-        return out * binv
 
     # -- comparison and display -------------------------------------------
 

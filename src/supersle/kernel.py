@@ -6,9 +6,8 @@ vector over the 2^n monomial masks; a batch of them is an array of shape
 Koszul pair table, the float counterpart of ``GrassmannNumber.__mul__``.  A
 table is built from the masks where its factors can be non-zero, never from
 all 3^n triples of n, and cached; ``_mul`` reads those masks off the
-factors.  A table's indices may also be remapped to the columns of a compact
-array, as in the Euler step program of ``supersle.sde``, where every product
-has one shape at every batch width.
+factors.  The Euler step program of ``supersle.sde`` runs the same multiply,
+signs and reduceat on the columns of its work array.
 """
 
 from __future__ import annotations
@@ -81,27 +80,19 @@ def _live_table(n: int, lsup: tuple, rsup: tuple):
 
 def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A B on the table of the masks where A and B are non-zero in some row."""
-    keys = [tuple(np.flatnonzero(X.reshape(-1, X.shape[-1]).any(axis=0)
-                                 if X.ndim > 1 else X).tolist())
-            for X in (A, B)]  # sorted and distinct, as _restrict's keys
-    return _tmul(_live_table(A.shape[-1].bit_length() - 1, *keys), A, B)
+    return _tmul(_restrict(A.shape[-1].bit_length() - 1, *(
+        np.flatnonzero(X.reshape(-1, X.shape[-1]).any(axis=0))
+        for X in (A, B))), A, B)
 
 
-def _tmul(table, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+def _tmul(table, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A B through a pair table, zero off its dst.
 
     A and B may differ in leading shape; the product takes the shape of the
-    table's sums.  With ``out``, the sums are written there in dst order
-    instead, left and right index the last axes of A and B, and signs may
-    be None for all +1.
+    table's sums.
     """
     dst, left, right, signs, starts = table
-    terms = np.multiply(A[..., left], B[..., right])
-    if signs is not None:
-        terms = np.multiply(terms, signs)
-    if out is None:
-        out = np.zeros(terms.shape[:-1] + A.shape[-1:], dtype=complex)
-        out[..., dst] = np.add.reduceat(terms, starts, axis=-1)
-    else:
-        np.add.reduceat(terms, starts, axis=-1, out=out)
+    terms = np.multiply(np.multiply(A[..., left], B[..., right]), signs)
+    out = np.zeros(terms.shape[:-1] + A.shape[-1:], dtype=complex)
+    out[..., dst] = np.add.reduceat(terms, starts, axis=-1)
     return out

@@ -34,7 +34,7 @@ from supersle.grassmann import (
     _merge_sign,
     make_generator,
 )
-from supersle.kernel import _gnum, _gvec, _mul, _restrict, _tmul
+from supersle.kernel import _gnum, _gvec, _mul, _restrict
 from supersle.ns_algebra import (
     CutoffOverflow,
     AlgebraElement,
@@ -242,10 +242,11 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
     z, with its body, and theta keep the masks where some path is non-zero,
     grown to the fixed point of one step.  A register is (mask -> column
     map, columns, masks).  Every product runs on work-array columns, of one
-    shape at every batch width, on its factors' live masks: a multiply and
-    its signs where each group is one triple, else one ``_tmul``; a
-    constant's signs are in its columns.  A shared product runs once; every
-    value is +0 plus its terms in the dense order.
+    shape at every batch width, on its factors' live masks: a multiply of
+    its factors' columns, then its signs when one is -1, and where a group
+    has several triples a reduceat of those terms; a constant's signs are
+    in its columns.  A shared product runs once; every value is +0 plus its
+    terms in the dense order.
     """
     n = z0.shape[-1].bit_length() - 1
     coeffs = [c for F in fns for part in (F.a, F.b) for c in part.values()]
@@ -283,13 +284,13 @@ def _step_plan(fns, z0: np.ndarray, th0: np.ndarray):
             if f.dtype.kind == "c":  # a constant: its columns take the signs
                 factors[i] = np.array([column(v) for v in f * signs], dtype=int)
                 signs = np.abs(signs)
-        signs = None if (signs > 0).all() else signs
-        if starts.size < lm.size:
-            return op(partial(_tmul, (dst, *factors, signs, starts)),
-                      (slice(None),) * 2, dst)
-        reg = op(np.multiply, factors, dst)  # one triple per group
-        if signs is not None:
+        grouped = starts.size < lm.size  # else one triple per group
+        reg = op(np.multiply, factors, () if grouped else dst, lm.size)
+        if (signs < 0).any():
             ops.append((partial(np.multiply, signs), (reg[1],), reg[1]))
+        if grouped:  # each group's sum, in the order of the dense reduceat
+            reg = op(partial(np.add.reduceat, indices=starts, axis=1),
+                     (reg[1],), dst)
         return reg
 
     def terms(part, sums):  # sums[mask] += [coefficient or column]

@@ -123,27 +123,6 @@ class LaurentSuperfunction:
         """D F = b(z) + theta a'(z)."""
         return LaurentSuperfunction(self.b, _poly_dz(self.a))
 
-    # -- evaluation -------------------------------------------------------
-
-    def eval(self, p: SuperPoint) -> GrassmannNumber:
-        exps = set(self.a) | set(self.b)
-        if not exps:
-            return GrassmannNumber.zero(p.z.n, p.z.ring)
-        powers = {0: GrassmannNumber.scalar(1, p.z.n, p.z.ring)}
-        lo, hi = min(exps), max(exps)
-        zinv = p.z.inverse() if lo < 0 else None
-        for k in range(1, hi + 1):
-            powers[k] = powers[k - 1] * p.z
-        for k in range(-1, lo - 1, -1):
-            powers[k] = powers[k + 1] * zinv
-        out = GrassmannNumber.zero(p.z.n, p.z.ring)
-        for k, c in self.a.items():
-            out = out + c * powers[k]
-        bval = GrassmannNumber.zero(p.z.n, p.z.ring)
-        for k, c in self.b.items():
-            bval = bval + c * powers[k]
-        return out + p.theta * bval
-
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -667,6 +667,29 @@ class TestParsing:
     def test_missing_kappa(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("sde", "--spec", "32", "--kappa", "2", "--T", "1e-10"),
+        ("martingale", "--spec", "32", "--kappa", "2", "--T", "1e-10",
+         "--paths", "5", "--expect-martingale"),
+        ("trace", "--mode", "loewner", "--kappa", "2", "--T", "1e-10"),
+        ("sde", "--spec", "32", "--kappa", "2", "--T", "1.5e-9",
+         "--dt", "1e-9"),
+    ], ids=["sde", "martingale", "loewner", "one-and-a-half-steps"])
+    def test_horizon_of_no_whole_steps_exit_2(self, capsys, tmp_path, argv):
+        # a T far below dt rounds to zero steps, an empty run, and 1.5e-9
+        # is one and a half steps of 1e-9: the tolerance is relative to T
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_horizon_of_four_tiny_steps_runs(self, capsys):
+        code, out, _ = run(capsys, "sde", "--spec", "32", "--kappa", "2",
+                           "--T", "4e-10", "--dt", "1e-10", "--seed", "1")
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")]
+        assert len(rows) == 1 + 5  # the header, then t = 0 to 4 dt
+
 
 def python_stdout(code: str) -> str:
     """Stdout of ``code`` run by a fresh interpreter that imports this src."""

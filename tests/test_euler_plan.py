@@ -215,7 +215,7 @@ def test_spec_32_reachable_masks():
 
 
 @pytest.mark.parametrize("name, width, triples", [
-    ("32", 44, 5), ("32alt", 31, 3), ("virasoro", 12, 3)])
+    ("32", 46, 5), ("32alt", 31, 3), ("virasoro", 12, 3)])
 def test_plan_shape(name, width, triples):
     # every product runs on its factors' live masks, a constant's too, and
     # every value is +0 plus its terms: one +0 column and no -0 column
@@ -228,21 +228,37 @@ def test_plan_shape(name, width, triples):
 
 
 def product_triples(f, args):
-    """The triples an op multiplies: a ``_tmul``'s table, or the column
-    pairs of a product of one triple per group; 0 for any other op."""
-    if isinstance(f, partial) and f.func is _tmul:
-        return f.args[0][1].size
+    """The triples an op multiplies: the column pairs of a product's
+    multiply; 0 for any other op."""
     return len(args[0]) if f is np.multiply and isinstance(
         args[0], np.ndarray) else 0
 
 
+def grouped_products(plan):
+    """The products of the step program with a group of several triples,
+    each as its pair table on work-array columns: the columns of its
+    multiply, the signs of the sign multiply after it (None without one)
+    and the group starts of its reduceat into the columns dst."""
+    writes = {}
+    for f, args, out in plan.ops:
+        writes.setdefault((out.start, out.stop), []).append((f, args))
+    for f, args, out in plan.ops:
+        if getattr(f, "func", None) == np.add.reduceat:
+            (_, (left, right)), *signed = writes[args[0].start, args[0].stop]
+            signs = signed[0][0].args[0] if signed else None
+            yield (np.arange(out.start, out.stop), left, right, signs,
+                   f.keywords["indices"])
+
+
 @pytest.mark.parametrize("name, count", [
-    ("32", 14), ("32alt", 10), ("virasoro", 6)])
+    ("32", 15), ("32alt", 10), ("virasoro", 6)])
 def test_plan_op_count(name, count):
     # no op writes an empty register: virasoro's z has no soul to negate and
     # its theta no mask to multiply b(z) by; a product of one triple per
     # group is a multiply, then a sign multiply when a sign is -1 (theta
-    # times b(z) in 32 and 32alt)
+    # times b(z) in 32 and 32alt); a product with a group of several triples
+    # (the soul square of 32) multiplies into a terms register, then sums
+    # it into its own by a reduceat
     system, init, _dim = CASES[name]
     plan = plan_for(system, *(v[None, :] for v in _point_vectors(init)))
     assert len(plan.ops) == count
@@ -289,21 +305,46 @@ def test_bound_laurent_calls_match_op_by_op(n, width):
     assert_bound_calls_match_op_by_op(*_step_plan(fns, Z, TH), n)
 
 
-@pytest.mark.parametrize("name, tmul, gathers", [
+@pytest.mark.parametrize("name, reduceat, gathers", [
     ("32", 1, 1), ("32alt", 0, 1), ("virasoro", 0, 0), ("walk7", 1, 1)])
-def test_bound_calls_gather_little(name, tmul, gathers):
-    # a product of one triple per group is a multiply of views, and an op on
-    # at most three runs of columns, a sum's +0 terms left out, one call per
-    # run: only the two-triple groups of spec 32's soul square and walk7's
-    # product still run _tmul, and only a function block of more runs
-    # gathers its columns at every call
+def test_bound_calls_gather_little(name, reduceat, gathers):
+    # every product is a multiply of views, and an op on at most three runs
+    # of columns, a sum's +0 terms left out, one call per run: only the
+    # two-triple groups of spec 32's soul square and walk7's product sum
+    # their terms by a reduceat on a view, and only a function block of
+    # more runs gathers its columns at every call
     system, init, _dim = CASES[name]
     fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
     calls = _bind(*_step_plan(fns, *(v[None, :]
                                      for v in _point_vectors(init))))
-    assert sum(isinstance(c, partial) and c.func is _tmul
-               for c in calls) == tmul
+    assert sum(isinstance(c, partial) and c.func == np.add.reduceat
+               for c in calls) == reduceat
     assert sum(not isinstance(c, partial) for c in calls) == gathers
+
+
+@pytest.mark.parametrize("width", [1, 2, 200])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_grouped_products_match_tmul(n, width):
+    # groups of 8 to 256 triples, which numpy sums pairwise: the bound
+    # multiply, signs and reduceat on column-major work-array views keep the
+    # bits of kernel._tmul on a fresh C-order copy.  A product whose signs
+    # are all +1 (a constant's folded into its columns) runs no sign
+    # multiply, which would turn -0 parts of its terms into +0, so its
+    # reference is the multiply and reduceat of _tmul alone
+    fns, _points, Z, TH = superfunction_case(n)
+    Z, TH = (np.resize(X, (width, X.shape[1])) for X in (Z, TH))
+    plan, W = _step_plan(fns, Z, TH)
+    _derivative(plan, W)
+    tables = list(grouped_products(plan))
+    assert max(np.diff(starts, append=left.size).max()
+               for _dst, left, _right, signs, starts in tables
+               if signs is not None) >= 8
+    C = np.ascontiguousarray(W)
+    for dst, left, right, signs, starts in tables:
+        want = (np.add.reduceat(C[:, left] * C[:, right], starts, axis=1)
+                if signs is None else
+                _tmul((dst, left, right, signs, starts), C, C)[:, dst])
+        assert np.array_equal(bits(W[:, dst]), bits(want))
 
 
 def test_em_core_binds_once(monkeypatch):

@@ -15,6 +15,8 @@ from supersle.grassmann import (
     parse_grassmann,
 )
 
+from exact_eval import inverse, soul
+
 
 def gens(n=4, ring=EXACT):
     return [make_generator(i, n, ring) for i in range(n)]
@@ -67,17 +69,17 @@ class TestBasics:
 
 class TestInverse:
     def test_scalar(self):
-        assert scalar(2).inverse() == scalar(sp.Rational(1, 2))
+        assert inverse(scalar(2)) == scalar(sp.Rational(1, 2))
 
     def test_unit_plus_nilpotent(self):
         p0, p1, _, _ = gens()
         x = scalar(1) + p0 * p1
-        assert x.inverse() == scalar(1) - p0 * p1
-        assert x * x.inverse() == scalar(1)
+        assert inverse(x) == scalar(1) - p0 * p1
+        assert x * inverse(x) == scalar(1)
 
     def test_zero_body(self):
         with pytest.raises(NotInvertible):
-            make_generator(0).inverse()
+            inverse(make_generator(0))
 
 
 # -- randomized algebra properties -------------------------------------------
@@ -120,7 +122,7 @@ def test_graded_anticommutation(a, b):
 @settings(deadline=None, max_examples=40)
 @given(grassmann_numbers())
 def test_soul_nilpotent(a):
-    s = a.soul()
+    s = soul(a)
     power = GrassmannNumber.scalar(1, s.n, s.ring)
     for _ in range(s.n + 1):
         power = power * s
@@ -130,8 +132,8 @@ def test_soul_nilpotent(a):
 @settings(deadline=None, max_examples=40)
 @given(grassmann_numbers(), st.integers(-5, 5).filter(lambda k: k != 0))
 def test_inverse_round_trip(a, k):
-    x = a.soul() + k
-    assert x * x.inverse() == GrassmannNumber.scalar(1, x.n)
+    x = soul(a) + k
+    assert x * inverse(x) == GrassmannNumber.scalar(1, x.n)
 
 
 def isclose(a, b, tol):

@@ -14,11 +14,12 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from dense_kernel import _binv, _bmul, _derivative, sliced_restrict
+from exact_eval import evaluate
 from supersle import kernel
 from supersle import sde as sde_module
 from supersle.cli import MAX_CUTOFF, _initial_point, main
 from supersle.grassmann import FLOAT, GrassmannNumber, NotInvertible, make_generator
-from supersle.kernel import _gvec, _tmul
+from supersle.kernel import _gvec
 from supersle.ns_algebra import (
     CutoffOverflow,
     G,
@@ -447,7 +448,7 @@ class TestCoefficientTable:
         assert len(values) == len(fns)
         for F, got in zip(fns, values):
             for p, row in zip(points, got):
-                want = F.eval(p)
+                want = evaluate(F, p)
                 want = np.array([complex(want.coefficient(m)) for m in masks])
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(row - want)) <= 1e-12 * scale
@@ -464,39 +465,51 @@ class TestCoefficientTable:
         assert 0 < len(calls) <= count + 2
 
     def test_constant_coefficients_skip_pair_table(self, monkeypatch):
-        # per step, one _tmul call: the Neumann power of the soul of z, two
-        # triples on one mask; the theta b(z) products and the constant c
-        # times z^-1, one triple per group, are multiplies of work-array
+        # per step, one grouped product: the Neumann power of the soul of z,
+        # two triples on one mask, summed by a reduceat of a view of the
+        # work array into another; the theta b(z) products and the constant
+        # c times z^-1, one triple per group, are multiplies of work-array
         # views bound once (a constant's from its columns, its signs folded
         # in); the package has no product over the whole pair table at all
         calls = []
-        tmul = sde_module._tmul
+        bind = sde_module._bind
 
-        def counted(table, A, B, out=None):
-            assert np.shares_memory(A, B) and np.shares_memory(A, out)
+        def counted(call):
             calls.append(1)
-            return tmul(table, A, B, out=out)
+            return call()
 
-        monkeypatch.setattr(sde_module, "_tmul", counted)
+        def bind_counted(plan, W):
+            bound = bind(plan, W)
+            for c in bound:
+                if getattr(c, "func", None) == np.add.reduceat:
+                    assert np.shares_memory(c.args[0], W)
+                    assert np.shares_memory(c.keywords["out"], W)
+            return [partial(counted, c)
+                    if getattr(c, "func", None) == np.add.reduceat else c
+                    for c in bound]
+
+        monkeypatch.setattr(sde_module, "_bind", bind_counted)
         for module in (kernel, sde_module):
             for name in ("_pair_table", "_bmul", "_binv"):
                 assert not hasattr(module, name)
         steps = 1000
         euler_maruyama(sde_system(spec_32(2.0, FLOAT)), init_32(),
                        BrownianPath.sample(1, 1e-3, steps, 1))
-        assert len(calls) <= steps + 10
+        assert len(calls) == steps
 
-    def test_inverse_chain_builds_no_zero_power(self, monkeypatch):
+    def test_inverse_chain_builds_no_zero_power(self):
         # the Neumann chain ends with a table whose product is empty: the
-        # power after it is zero and never added, so it is not built
-        calls = []
-        tmul = sde_module._tmul
-        monkeypatch.setattr(
-            sde_module, "_tmul", lambda table, A, B, out=None: calls.append(
-                table[0].size) or tmul(table, A, B, out=out))
+        # power after it is zero and never added, so no op is built for it;
+        # the one grouped product, the soul square, sums onto mask 15 alone
         system = sde_system(spec_32(2.0, FLOAT))
-        euler_maruyama(system, init_32(), BrownianPath.sample(1, 1e-3, 50, 1))
-        assert calls and 0 not in calls
+        fns = [*system.drift, *(f for pair in system.diffusion for f in pair)]
+        plan, _W = _step_plan(fns, *(v[None, :]
+                                     for v in _point_vectors(init_32())))
+        sums = [out.stop - out.start for f, _args, out in plan.ops
+                if getattr(f, "func", None) == np.add.reduceat]
+        assert sums == [1]
+        assert all(out.stop > out.start and np.r_[args[0]].size
+                   for _f, args, out in plan.ops)
 
     def test_spec_32_computes_c_over_z_once(self):
         # c z^-1, c = p0 p1 p2, is theta's drift and the b(z) of z's drift

@@ -16,6 +16,8 @@ from supersle.superfield import (
     z_power,
 )
 
+from exact_eval import evaluate
+
 N = 4
 
 
@@ -77,25 +79,25 @@ class TestEval:
     def test_inverse_power(self):
         F = z_power(-1, N)
         p = SuperPoint(sc(2), GrassmannNumber.zero(N))
-        assert F.eval(p) == sc(sp.Rational(1, 2))
+        assert evaluate(F, p) == sc(sp.Rational(1, 2))
 
     def test_theta_itself(self):
         F = theta_times({0: 1}, N)
         p = SuperPoint(sc(3) + gen(0) * gen(1), gen(3))
-        assert F.eval(p) == gen(3)
+        assert evaluate(F, p) == gen(3)
 
     def test_symbolic_point(self):
         t = sp.Symbol("t")
         F = LaurentSuperfunction({1: sc(1)}, {-1: gen(2) * t})
         p = SuperPoint(sc(2), gen(3))
         expected = sc(2) + gen(3) * gen(2) * (t / 2)
-        assert F.eval(p) == expected
+        assert evaluate(F, p) == expected
 
     def test_negative_exponent_at_zero_body(self):
         F = z_power(-1, N)
         p = SuperPoint(gen(0) * gen(1), GrassmannNumber.zero(N))
         with pytest.raises(NotInvertible):
-            F.eval(p)
+            evaluate(F, p)
 
 
 class TestSuperderivative:
