@@ -16,8 +16,9 @@ Exit codes (a non-zero exit prints exactly one line on stderr):
 2  'error: ...': usage, parse or file error, a --kappa beyond the float
    range for the float commands (sde, trace), input the numerics refuse
    (swallowed point, vanishing denominator, non-invertible initial point,
-   parity error), a trace --bounds span beyond the float range, or a run
-   too large to allocate (MemoryError, e.g. 2^62 trace raster samples).
+   parity error), a trace --bounds span or a T/dt beyond the float range,
+   or a run too large to allocate (MemoryError, e.g. 2^62 trace raster
+   samples or 2^60 Brownian increments).
 --kappa, --cutoff and --delta-shift take rationals (2, 8/3, 0.5); --cutoff is
 at most MAX_CUTOFF = 10, a basis of 797 PBW words (more exits 2), and a
 file: walk spec has at most MAX_SPEC_GENERATORS = 12 generators and, for
@@ -118,6 +119,8 @@ def _resolve_seed(args) -> int:
 def _steps_for(T: float, dt: float) -> int:
     if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T <= 0:
         raise UsageError(f"need finite dt > 0 and T > 0, got dt={dt} T={T}")
+    if not math.isfinite(T / dt):
+        raise UsageError(f"T/dt is beyond the float range: dt={dt} T={T}")
     steps = round(T / dt)
     if steps < 1 or abs(steps * dt - T) > 1e-9 * T:  # 0 steps: an empty run
         raise UsageError(f"dt={dt} does not divide T={T}")

@@ -18,7 +18,6 @@ import json
 import math
 import operator
 from collections import namedtuple
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -109,6 +108,8 @@ class BrownianPath:
 
     @classmethod
     def sample(cls, dim: int, dt: float, steps: int, seed) -> "BrownianPath":
+        if steps * dim * 8 > np.iinfo(np.intp).max:  # beyond any allocation
+            raise MemoryError(f"{steps:.3g} Brownian steps exceed memory")
         # draw step-major so a longer horizon extends a shorter one in place
         inc = np.random.default_rng(seed).standard_normal((steps, dim))
         inc *= math.sqrt(dt)
@@ -394,10 +395,11 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
     """Batched explicit Euler; increments shape (paths, steps, dim).
 
     Returns (Z, TH) of shape (paths, steps+1, 2^n), or (paths, 1, 2^n) for
-    the terminal states only without ``history``, and the first swallowing
-    step index per path (steps+1 when never swallowed).  Swallowed paths
-    are frozen at their last valid state.  ``_bind``'s calls step the batch
-    on compact columns; a recorded state goes into Z and TH on its masks.
+    the terminal states only without ``history``, and the stop step: the
+    first step k at which the body of z of any path is swallowed (steps+1
+    when none is).  The batch stops there, and every later row repeats the
+    states of step k.  ``_bind``'s calls step the batch on compact columns;
+    a recorded state goes into Z and TH on its masks.
     """
     paths, steps, dim = increments.shape
     _check_brownian_dim(len(system.diffusion), dim)
@@ -414,38 +416,22 @@ def _em_core(system: SdeSystem, z0: np.ndarray, th0: np.ndarray,
         Z[:, rows, plan.zsup] = S[:, None, :nz]
         TH[:, rows, plan.tsup] = S[:, None, nz:]
 
-    swallowed = np.full(paths, steps + 1, dtype=int)
-    active = None  # None while no path is swallowed
-    quiet = nullcontext  # np.errstate once a frozen row's body is 0
     for k in range(steps):
-        if plan.lo < 0:
-            size = np.abs(W[:, 0])
-            hit = size < _SWALLOW_EPS
-            if hit.any():
-                swallowed[hit & (swallowed > steps)] = k
-                active = swallowed > steps
-                if not active.any():
-                    record(slice(k + 1, None))
-                    break
-                if not size.all():  # its inf and nan steps are discarded
-                    quiet = partial(np.errstate, divide="ignore",
-                                    invalid="ignore")
-        with quiet():
-            for call in calls:
-                call()
-            new = S if active is None else S.copy()
-            for h, row in zip((dt, *increments[:, k].T[..., None]), D):
-                new += np.multiply(h, row, out=term)
-        if active is not None:
-            np.copyto(S, new, where=active[:, None])
+        if plan.lo < 0 and (np.abs(W[:, 0]) < _SWALLOW_EPS).any():
+            record(slice(k + 1, None))
+            break
+        for call in calls:
+            call()
+        for h, row in zip((dt, *increments[:, k].T[..., None]), D):
+            S += np.multiply(h, row, out=term)
         if history:
             record(slice(k + 1, k + 2))
+    else:
+        k = steps + 1
     record(slice(-1, None))
-    frozen = swallowed == 0  # z0 as given, with its signed zeros
-    Z[frozen], TH[frozen] = z0[frozen, None], th0[frozen, None]
     if history or not steps:
         Z[:, 0], TH[:, 0] = z0, th0
-    return Z, TH, swallowed
+    return Z, TH, k
 
 
 def _point_vectors(init: SuperPoint, n: int = 0):
@@ -458,15 +444,14 @@ def euler_maruyama(system: SdeSystem, init: SuperPoint,
                    path: BrownianPath) -> SuperPath:
     """Explicit Euler integration of dX = X_0' dt + sum_i X_i' dB_i.
 
-    A path whose body of z is swallowed ends at the swallowing step, with
-    ``swallowed_time`` set.
+    The path stops at the first step k at which its body of z is inside
+    the swallowing ball: it ends with the state of step k and
+    ``swallowed_time`` k dt.
     """
     z0, th0 = _point_vectors(init)
     inc = path.increments.T[None, :, :]  # (1, steps, dim)
-    Z, TH, swallowed = _em_core(system, z0[None, :], th0[None, :],
-                                inc, path.dt)
-    if swallowed[0] <= path.steps:
-        k = int(swallowed[0])
+    Z, TH, k = _em_core(system, z0[None, :], th0[None, :], inc, path.dt)
+    if k <= path.steps:
         return SuperPath(times=path.times[:k + 1], Z=Z[0, :k + 1],
                          TH=TH[0, :k + 1], swallowed_time=float(k * path.dt))
     return SuperPath(times=path.times, Z=Z[0], TH=TH[0])
@@ -684,12 +669,10 @@ def pathwise_convergence(system: SdeSystem, path_data, closed_form,
         np.stack(d, axis=-1) for d in zip(*data)))
     errors = []
     for d, inc in zip(dts, incs):
-        steps = inc.shape[1]
-        Z, TH, swallowed = _em_core(system, np.tile(z0, (n_paths, 1)),
-                                    np.tile(th0, (n_paths, 1)), inc, d,
-                                    history=False)
-        if np.any(swallowed <= steps):
-            raise SwallowedPoint(float(np.min(swallowed)) * d)
+        Z, TH, k = _em_core(system, np.tile(z0, (n_paths, 1)),
+                            np.tile(th0, (n_paths, 1)), inc, d, history=False)
+        if k <= inc.shape[1]:
+            raise SwallowedPoint(float(k) * d)
         err = np.maximum(np.max(np.abs(Z[:, -1] - ref_z), axis=-1),
                          np.max(np.abs(TH[:, -1] - ref_th), axis=-1))
         errors.append(float(np.mean(err)))

@@ -683,6 +683,26 @@ class TestParsing:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("sde", "--spec", "32", "--T", "1e300", "--dt", "1e-300"),
+        ("martingale", "--spec", "32", "--T", "1e300", "--dt", "1e-300",
+         "--paths", "5"),
+        ("trace", "--T", "1e300", "--dt", "1e-300"),
+        ("sde", "--spec", "32", "--T", "2e18", "--dt", "1"),
+        ("sde", "--spec", "32", "--T", "1e20", "--dt", "1"),
+        ("trace", "--T", "2e18", "--dt", "1"),
+        ("trace", "--T", "1e20", "--dt", "1"),
+    ], ids=["sde-inf", "martingale-inf", "trace-inf", "sde-2e18",
+            "sde-1e20", "trace-2e18", "trace-1e20"])
+    def test_step_count_beyond_range_exit_2(self, capsys, tmp_path, argv):
+        # T/dt = 1e600 is no float; 2e18 and 1e20 steps of one float64
+        # increment are more bytes than an address can reach
+        code, out, err = run(capsys, *argv, "--kappa", "2",
+                             "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_horizon_of_four_tiny_steps_runs(self, capsys):
         code, out, _ = run(capsys, "sde", "--spec", "32", "--kappa", "2",
                            "--T", "4e-10", "--dt", "1e-10", "--seed", "1")

@@ -3,10 +3,12 @@
 ``dense_coefficient_table``, ``dense_eval_table`` and ``dense_em_core`` are
 copies of the Euler step before it was restricted to the reachable masks:
 every state product runs through the whole pair table, every constant times
-a z power through a signed gather over all masks, and swallowed paths are frozen by ``np.where`` at every step.  The
-restricted step must give the same Z and TH down to the raw bits, signed
-zeros included.  The calls ``sde._bind`` makes once per integration must
-leave the work array as ``dense_kernel.op_by_op`` does, bit for bit.
+a z power through a signed gather over all masks, and the batch stops at
+the first step at which the body of z of any path is swallowed.  The
+restricted step must give the same stop step, and the same Z and TH down
+to the raw bits, signed zeros included.  The calls ``sde._bind`` makes once
+per integration must leave the work array as ``dense_kernel.op_by_op``
+does, bit for bit.
 """
 
 import tracemalloc
@@ -72,8 +74,8 @@ def dense_eval_table(table, lo, hi, Z, TH):
     pows = {1: Z}
     for k in range(2, hi + 1):
         pows[k] = _bmul(pows[k - 1], Z)
-    if lo < 0:  # a frozen body of 0 is inverted as 1, its step discarded
-        pows[-1] = _binv(np.where(Z[..., :1] == 0, 1.0, Z))
+    if lo < 0:
+        pows[-1] = _binv(Z)
         for k in range(-2, lo - 1, -1):
             pows[k] = _bmul(pows[k + 1], pows[-1])
     out = []
@@ -100,30 +102,23 @@ def dense_em_core(system, z0, th0, increments, dt):
     TH = np.zeros_like(Z)
     Z[:, 0] = z0
     TH[:, 0] = th0
-    swallowed = np.full(paths, steps + 1, dtype=int)
     z = Z[:, 0].copy()
     th = TH[:, 0].copy()
     for k in range(steps):
-        if lo < 0:
-            hit = (np.abs(z[:, 0]) < SWALLOW_EPS) & (swallowed > steps)
-            swallowed[hit] = k
-        active = swallowed > steps
-        if not active.any():
+        if lo < 0 and (np.abs(z[:, 0]) < SWALLOW_EPS).any():
             Z[:, k + 1:] = z[:, None, :]
             TH[:, k + 1:] = th[:, None, :]
-            return Z, TH, swallowed
+            return Z, TH, k
         zd, td, *diffusion = dense_eval_table(table, lo, hi, z, th)
-        znew = z + dt * zd
-        tnew = th + dt * td
+        z = z + dt * zd
+        th = th + dt * td
         for i in range(dim):
             dB = increments[:, k, i][:, None]
-            znew = znew + dB * diffusion[2 * i]
-            tnew = tnew + dB * diffusion[2 * i + 1]
-        z = np.where(active[:, None], znew, z)
-        th = np.where(active[:, None], tnew, th)
+            z = z + dB * diffusion[2 * i]
+            th = th + dB * diffusion[2 * i + 1]
         Z[:, k + 1] = z
         TH[:, k + 1] = th
-    return Z, TH, swallowed
+    return Z, TH, steps + 1
 
 
 def bits(a):
@@ -135,19 +130,20 @@ def used_masks(A):
 
 
 def assert_same_as_dense(system, z0, th0, increments, dt):
-    """Restricted and dense runs agree bit for bit; returns the run."""
-    Z, TH, swallowed = _em_core(system, z0, th0, increments, dt)
-    dZ, dTH, dswallowed = dense_em_core(system, z0, th0, increments, dt)
-    assert np.array_equal(swallowed, dswallowed)
+    """Restricted and dense runs agree bit for bit and stop at the same
+    step; returns the run."""
+    Z, TH, stop = _em_core(system, z0, th0, increments, dt)
+    dZ, dTH, dstop = dense_em_core(system, z0, th0, increments, dt)
+    assert stop == dstop
     assert np.array_equal(bits(Z), bits(dZ))
     assert np.array_equal(bits(TH), bits(dTH))
-    zT, thT, tswallowed = _em_core(system, z0, th0, increments, dt,
-                                   history=False)
+    zT, thT, tstop = _em_core(system, z0, th0, increments, dt,
+                              history=False)
     assert zT.shape == (z0.shape[0], 1, z0.shape[-1])
-    assert np.array_equal(tswallowed, swallowed)
+    assert tstop == stop
     assert np.array_equal(bits(zT[:, 0]), bits(Z[:, -1]))
     assert np.array_equal(bits(thT[:, 0]), bits(TH[:, -1]))
-    return Z, TH, swallowed
+    return Z, TH, stop
 
 
 def plan_for(system, z0, th0):
@@ -373,35 +369,41 @@ def test_constant_function_signed_zero(slot, increment):
                          1e-2)
 
 
+def assert_repeats(X, stop):
+    """Every row of the history after the stop repeats the state at it."""
+    tail = X[:, stop:]
+    assert np.array_equal(bits(tail), bits(
+        np.broadcast_to(X[:, stop:stop + 1], tail.shape)))
+
+
 @pytest.mark.parametrize("width", [1, 50])
 def test_swallowed_paths_match_dense(width):
-    # 32alt moves the body of z by -(dB1 + i dB2): path 0 starts inside
-    # the swallowing ball, the last path is driven into it at step 4
+    # 32alt moves the body of z by -(dB1 + i dB2): a lone path that starts
+    # inside the swallowing ball stops at step 0; in a batch, the last path
+    # is driven into it at step 4 and stops every path there
     system, init, dim = CASES["32alt-soul"]
     z0, th0, inc = batch(init, width, dim, 40, 1e-2, 5)
-    z0[0, 0] = 1e-8
-    if width > 1:
+    if width == 1:
+        z0[0, 0] = 1e-8
+    else:
         inc[-1] = 0.0
         inc[-1, 3, 0] = 0.5 - 1e-7
-    _Z, _TH, swallowed = assert_same_as_dense(system, z0, th0, inc, 1e-2)
-    assert swallowed[0] == 0
-    if width > 1:
-        assert swallowed[-1] == 4
-        assert np.all(swallowed[1:-1] == 41)
+    Z, TH, stop = assert_same_as_dense(system, z0, th0, inc, 1e-2)
+    assert stop == (0 if width == 1 else 4)
+    assert_repeats(Z, stop)
+    assert_repeats(TH, stop)
 
 
-def swallowing_batch(name, width, steps, dt, seed, every_row=False,
-                     target=1e-7):
-    """A batch whose row 0 starts inside the swallowing ball and whose
-    other rows (every fifth, or every one) get built increments that drive
-    the body to about ``target`` at steps 1, 2, ..., so they are swallowed
-    one step later; the remaining rows are drawn at random."""
+def swallowing_batch(name, width, steps, dt, seed, rows=None, target=1e-7):
+    """A batch whose first steps - 2 ``rows`` (by default every fifth row,
+    from the last one back) get built increments that drive the body to
+    about ``target`` at steps 1, 2, ..., so they are swallowed one step
+    later, at steps 2, 3, ...; the remaining rows are drawn at random."""
     system, init, dim = CASES[name]
     z0, th0, inc = batch(init, width, dim, steps, dt, seed)
-    z0[0, 0] = 1e-8
     sk = np.sqrt(2.0) if name == "virasoro" else 1.0
-    for row in range(1, width, 1 if every_row else 5):
-        stop = 1 + (row - 1) % (steps - 2)  # swallowed at stop + 1
+    driven = range(width - 1, 0, -5) if rows is None else rows
+    for stop, row in zip(range(1, steps - 1), driven):  # swallowed at stop+1
         inc[row, :stop + 1] = 0.0
         body = z0[row, 0]  # the body's drift: 2 / z for virasoro, else 0
         for _ in range(stop):
@@ -412,48 +414,66 @@ def swallowing_batch(name, width, steps, dt, seed, every_row=False,
     return system, z0, th0, inc
 
 
+def assert_stops_at_earliest(system, z0, th0, inc, first):
+    """The batch stops at step 2, where the body of row ``first`` alone is
+    in the ball: every row has the dense bits up to the stop and repeats
+    that state after it."""
+    Z, TH, stop = assert_same_as_dense(system, z0, th0, inc, 1e-2)
+    assert stop == 2
+    inside = np.abs(Z[:, stop, 0]) < SWALLOW_EPS
+    assert np.flatnonzero(inside).tolist() == [first]
+    assert_repeats(Z, stop)
+    assert_repeats(TH, stop)
+    return Z
+
+
 @pytest.mark.parametrize("width", [2, 50, 200])
 @pytest.mark.parametrize("name", ["32alt-soul", "virasoro"])
 def test_swallowing_batches_match_dense(name, width):
-    # rows inside the ball from the start, rows driven in mid-run and rows
-    # that never swallow: the frozen rows and the rest keep the dense bits
+    # rows driven into the ball at steps 2, 3, ..., the earliest the last
+    # row, and rows that never swallow: the batch stops at the earliest
     system, z0, th0, inc = swallowing_batch(name, width, 30, 1e-2, 11)
-    _Z, _TH, swallowed = assert_same_as_dense(system, z0, th0, inc, 1e-2)
-    assert swallowed[0] == 0
-    driven = np.arange(1, width, 5)
-    assert np.array_equal(swallowed[driven], 2 + (driven - 1) % 28)
-    assert (np.delete(swallowed, [0, *driven]) > 30).all()
+    assert_stops_at_earliest(system, z0, th0, inc, width - 1)
 
 
 @pytest.mark.parametrize("width", [2, 200])
 @pytest.mark.parametrize("name", ["32alt-soul", "virasoro"])
-def test_zero_body_rows_leave_the_batch_running(name, width):
-    # the driven rows land on a body of exactly 0.0: each is swallowed at
-    # the next step and frozen with that body, its discarded steps (which
-    # divide by it) warn nothing, and every other row keeps the dense bits
+def test_zero_body_rows_stop_the_batch_quietly(name, width):
+    # the driven rows land on a body of exactly 0.0: the batch stops at the
+    # step after the first of them, before any step divides by it, so
+    # nothing warns
     system, z0, th0, inc = swallowing_batch(name, width, 30, 1e-2, 11,
                                             target=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Z, _TH, swallowed = assert_same_as_dense(system, z0, th0, inc, 1e-2)
-    driven = np.arange(1, width, 5)
-    assert np.array_equal(swallowed[driven], 2 + (driven - 1) % 28)
-    assert (Z[driven, -1, 0] == 0.0).all()
-    assert (np.delete(swallowed, [0, *driven]) > 30).all()
+        Z = assert_stops_at_earliest(system, z0, th0, inc, width - 1)
+    assert Z[-1, 2, 0] == 0.0
 
 
 @pytest.mark.parametrize("width", [2, 50])
 @pytest.mark.parametrize("name", ["32alt-soul", "virasoro"])
 def test_every_row_swallows(name, width):
-    # once the last row is swallowed the step loop stops: every later row
-    # of the history repeats the frozen states
+    # every row is driven into the ball, in a shuffled order: the batch
+    # stops at the first of them, whichever row it is
+    rows = np.random.default_rng(width).permutation(width)
     system, z0, th0, inc = swallowing_batch(name, width, 60, 1e-2, 12,
-                                            every_row=True)
-    Z, _TH, swallowed = assert_same_as_dense(system, z0, th0, inc, 1e-2)
-    assert (swallowed <= 60).all() and swallowed.max() < 60
-    last = swallowed.max()
-    assert np.array_equal(bits(Z[:, last:]), bits(
-        np.broadcast_to(Z[:, last:last + 1], Z[:, last:].shape)))
+                                            rows=rows)
+    assert_stops_at_earliest(system, z0, th0, inc, rows[0])
+
+
+def test_stopped_batch_runs_each_call_once_a_step(monkeypatch):
+    # a batch stopped at step k runs each call _bind made exactly k times:
+    # no path is stepped after the stop
+    runs = []
+    bind = sde_module._bind
+    monkeypatch.setattr(sde_module, "_bind", lambda plan, W: [
+        partial(lambda i, call: runs.append(i) or call(), i, call)
+        for i, call in enumerate(bind(plan, W))])
+    system, z0, th0, inc = swallowing_batch("virasoro", 50, 30, 1e-2, 11,
+                                            rows=[7, 3])
+    _Z, _TH, stop = _em_core(system, z0, th0, inc, 1e-2)
+    assert runs and np.bincount(runs).tolist() == [2] * (max(runs) + 1)
+    assert stop == 2
 
 
 def found_system():
